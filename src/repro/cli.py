@@ -10,20 +10,13 @@ Commands mirror the paper's evaluation artifacts:
 * ``list-suites`` — the registered suites and instance families that
   ``--suite``/``--instances`` accept (``--format json`` for a stable
   machine-readable listing);
-* ``serve`` — run the simulation job server: POST spec JSON, results
-  come back as structured payloads, with a bounded per-tenant-fair
-  queue, in-flight dedupe, cached-result short-circuits and a graceful
-  SIGTERM drain (docs/SERVE.md);
 * ``table1|table2|table3|table4`` — regenerate a table;
 * ``fig6|fig7|fig8|fig9`` — regenerate a figure's data series;
 * ``chaos`` — run the fault-injection recovery suite: seeded faults at
   every site type, precise-trap recovery, differential state oracle
   (docs/FAULTS.md); ``--layer pool`` instead drills the orchestration
   layer (seeded worker kills, hangs, torn cache writes) and proves the
-  rendered report is byte-identical to a fault-free run; ``--layer
-  serve`` drills a live job server under the same seeded faults plus
-  concurrent duplicate/burst/malformed submissions and a SIGTERM
-  drain (docs/SERVE.md);
+  rendered report is byte-identical to a fault-free run;
 * ``bench`` — measure simulator throughput (wall-clock and simulated
   instructions per host second) per workload and write
   ``BENCH_sim_throughput.json`` (docs/PERF.md);
@@ -270,8 +263,6 @@ def _chaos_body(args) -> int:
 
     if args.layer == "pool":
         return _chaos_pool_body(args)
-    if args.layer == "serve":
-        return _chaos_serve_body(args)
     sites = tuple(args.sites) if args.sites else SITE_TYPES
     for site in sites:
         if site not in SITE_TYPES:
@@ -322,46 +313,6 @@ def _chaos_pool_body(args) -> int:
         with open(args.log, "w") as handle:
             handle.write(text + "\n")
     return 0 if result.ok else 1
-
-
-def _chaos_serve_body(args) -> int:
-    """``repro chaos --layer serve``: the simulation-service gate.
-
-    Runs :func:`repro.faults.chaos_serve.run_serve_chaos_oracle`:
-    a live job server under seeded worker kills/hangs while concurrent
-    clients submit duplicates, bursts against a tiny queue and
-    malformed payloads, finishing with a SIGTERM drain drill.  Exit 0
-    only when every accepted job's payload is byte-identical to a
-    serial fault-free run, duplicates simulated exactly once, the full
-    queue answered clean 429s and the cache survived intact.
-    """
-    from repro.faults.chaos_serve import run_serve_chaos_oracle
-
-    scale = args.scale if args.scale is not None else (
-        0.02 if args.quick else 0.05)
-    result = run_serve_chaos_oracle(
-        seed=args.seed, suite=args.suite, jobs=args.jobs,
-        scale=scale, timeout=args.timeout)
-    text = result.summary()
-    print(text)
-    if args.log:
-        with open(args.log, "w") as handle:
-            handle.write(text + "\n")
-    return 0 if result.ok else 1
-
-
-def _cmd_serve(args) -> int:
-    """``repro serve``: run the simulation job server (docs/SERVE.md)."""
-    from repro.serve.server import ServeConfig, serve_main
-
-    config = ServeConfig(
-        host=args.host, port=args.port,
-        jobs=args.jobs if args.jobs > 0 else default_jobs(),
-        queue_limit=args.queue_limit, batch_max=args.batch_max,
-        timeout=args.timeout, deadline=args.deadline,
-        retries=args.retries,
-        cache_dir=None if args.no_cache else args.cache_dir)
-    return serve_main(config)
 
 
 def _cmd_bench(args) -> int:
@@ -591,15 +542,12 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="fault-injection recovery suite (docs/FAULTS.md)")
     p_chaos.add_argument("--seed", type=int, default=1234,
                          help="FaultPlan seed (default 1234)")
-    p_chaos.add_argument("--layer", choices=("sim", "pool", "serve"),
+    p_chaos.add_argument("--layer", choices=("sim", "pool"),
                          default="sim",
                          help="'sim' injects architectural faults inside "
                          "the simulator; 'pool' injects orchestration "
                          "faults (worker kills, hangs, torn cache writes) "
-                         "into grid execution; 'serve' drills a live job "
-                         "server with concurrent duplicate/burst/malformed "
-                         "submissions under worker kills and a SIGTERM "
-                         "drain (docs/SERVE.md) (default: sim)")
+                         "into grid execution (default: sim)")
     p_chaos.add_argument("--suite", default="table4", metavar="NAME",
                          help="suite the pool drill runs over "
                          "(default: table4; see list-suites)")
@@ -646,36 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_pool_flags(p_bench)
     p_bench.set_defaults(fn=_cmd_bench)
 
-    p_serve = sub.add_parser(
-        "serve", help="run the simulation job server: POST specs, get "
-        "results (docs/SERVE.md)")
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=8537,
-                         help="bind port; 0 picks a free one and reports "
-                         "it on stderr (default 8537)")
-    p_serve.add_argument("--jobs", type=int, default=0, metavar="N",
-                         help="pool worker processes (0 = all cores)")
-    p_serve.add_argument("--queue-limit", type=int, default=256, metavar="N",
-                         help="bounded admission queue; beyond this, "
-                         "submissions get 429 + Retry-After (default 256)")
-    p_serve.add_argument("--batch-max", type=int, default=0, metavar="N",
-                         help="max specs per engine batch (default 2x jobs)")
-    p_serve.add_argument("--timeout", type=float, default=None, metavar="S",
-                         help="per-cell wall-clock budget; an overrunning "
-                         "cell degrades into a Timeout payload "
-                         "(default: none)")
-    p_serve.add_argument("--deadline", type=float, default=None, metavar="S",
-                         help="per-batch grid budget (default: none)")
-    p_serve.add_argument("--retries", type=int, default=1, metavar="N",
-                         help="per-cell retry budget (default 1)")
-    p_serve.add_argument("--cache-dir", default=str(_default_cache_dir()),
-                         metavar="DIR",
-                         help="result-cache root (default .repro-cache/)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="disable the result cache")
-    p_serve.set_defaults(fn=_cmd_serve)
-
     p_asm = sub.add_parser("asm", help="assemble a text kernel")
     p_asm.add_argument("file")
     p_asm.set_defaults(fn=_cmd_asm)
@@ -699,12 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default severity and exit")
     p_lint.set_defaults(fn=_cmd_lint)
     return parser
-
-
-def _default_cache_dir():
-    from repro.harness.engine import CACHE_DIR
-
-    return CACHE_DIR
 
 
 def main(argv=None) -> int:

@@ -18,14 +18,7 @@ proves that contract end to end against the simulator:
   :class:`ChaosPool`/:class:`ChaosCache` pair that kills workers
   mid-cell, wedges them in hangs and tears result-cache writes, with
   :func:`run_pool_chaos_oracle` proving the rendered report stays
-  byte-identical to a fault-free run (``repro chaos --layer pool``);
-* :mod:`repro.faults.chaos_serve` — service-level chaos: the same
-  seeded kills and hangs injected under a live :mod:`repro.serve` job
-  server while concurrent clients submit duplicate, bursty and
-  malformed load, with :func:`run_serve_chaos_oracle` proving every
-  accepted job's payload stays byte-identical, duplicates simulate
-  exactly once and SIGTERM drains without losing a job
-  (``repro chaos --layer serve``; docs/SERVE.md).
+  byte-identical to a fault-free run (``repro chaos --layer pool``).
 
 See docs/FAULTS.md for the fault model.
 """
@@ -41,7 +34,6 @@ from repro.faults.chaos_pool import (
     PoolChaosResult,
     run_pool_chaos_oracle,
 )
-from repro.faults.chaos_serve import ServeChaosResult, run_serve_chaos_oracle
 from repro.faults.injector import FaultInjector, InjectionLog, InjectionRecord
 from repro.faults.plan import (
     SITE_KILL,
@@ -72,9 +64,7 @@ __all__ = [
     "OracleResult",
     "PoolChaosPlan",
     "PoolChaosResult",
-    "ServeChaosResult",
     "run_recovery_oracle",
     "run_pool_chaos_oracle",
-    "run_serve_chaos_oracle",
     "state_digest",
 ]

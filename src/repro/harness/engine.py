@@ -73,46 +73,10 @@ class EngineStats:
     preserved_on_break: int = 0
     #: cells abandoned by a KeyboardInterrupt (Ctrl-C exits 130)
     interrupted: int = 0
-    # trace-JIT counters, mirrored from repro.jit.STATS after each
-    # execute() (process-cumulative, like the JIT's own cache)
-    jit_trace_hits: int = 0
-    jit_trace_misses: int = 0
-    jit_invalidations: int = 0
-    jit_deopts: int = 0
-    jit_compile_rejects: int = 0
-    jit_traces_compiled: int = 0
-    jit_batched_instructions: int = 0
 
     def reset(self) -> None:
-        self.pool_fallbacks = 0
-        self.cell_failures = 0
-        self.retries = 0
-        self.quarantined = 0
-        self.timeouts = 0
-        self.stragglers = 0
-        self.speculative_wins = 0
-        self.preserved_on_break = 0
-        self.interrupted = 0
-        self.jit_trace_hits = 0
-        self.jit_trace_misses = 0
-        self.jit_invalidations = 0
-        self.jit_deopts = 0
-        self.jit_compile_rejects = 0
-        self.jit_traces_compiled = 0
-        self.jit_batched_instructions = 0
-
-    def sync_jit(self) -> None:
-        """Mirror the process-cumulative trace-JIT counters in here so
-        ``repro serve`` ``/stats`` and the chaos reports see them."""
-        from repro.jit import STATS as jit_stats
-
-        self.jit_trace_hits = jit_stats.trace_cache_hits
-        self.jit_trace_misses = jit_stats.trace_cache_misses
-        self.jit_invalidations = jit_stats.invalidations
-        self.jit_deopts = jit_stats.deopts
-        self.jit_compile_rejects = jit_stats.compile_rejects
-        self.jit_traces_compiled = jit_stats.traces_compiled
-        self.jit_batched_instructions = jit_stats.batched_instructions
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, 0)
 
 
 #: the engine's shared stats bag (per-process; pool workers get their own)
@@ -413,21 +377,18 @@ def execute(spec: ExperimentSpec,
     funnels through here."""
     instance = _instance if _instance is not None else _build_instance(spec)
     cfg = spec.resolve_config(instance)
-    try:
-        if spec.fault:
-            if spec.mode == "functional" or not cfg.has_vbox:
-                raise ConfigError(
-                    "fault injection requires the vector timing model")
-            return _run_faulted_instance(cfg, instance, spec)
-        if spec.mode == "functional":
-            return _run_functional_instance(cfg, instance)
-        if cfg.has_vbox:
-            return _run_vector_instance(cfg, instance, check=spec.check,
-                                        drain_dirty=spec.drain_dirty,
-                                        warm=spec.warm)
-        return _run_scalar_instance(cfg, instance)
-    finally:
-        STATS.sync_jit()
+    if spec.fault:
+        if spec.mode == "functional" or not cfg.has_vbox:
+            raise ConfigError(
+                "fault injection requires the vector timing model")
+        return _run_faulted_instance(cfg, instance, spec)
+    if spec.mode == "functional":
+        return _run_functional_instance(cfg, instance)
+    if cfg.has_vbox:
+        return _run_vector_instance(cfg, instance, check=spec.check,
+                                    drain_dirty=spec.drain_dirty,
+                                    warm=spec.warm)
+    return _run_scalar_instance(cfg, instance)
 
 
 def execute_captured(spec: ExperimentSpec,

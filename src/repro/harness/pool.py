@@ -135,9 +135,7 @@ class Pool:
     ``submit(fn, *args)`` returns a ``concurrent.futures.Future``;
     ``respawn()`` replaces a backend whose workers are wedged;
     ``mark_dirty()`` records that a future was abandoned (or the
-    backend broke) so ``close()`` knows a graceful shutdown would hang
-    — long-lived owners like the serve layer read ``dirty`` to decide
-    when a pool must be replaced between grids.
+    backend broke) so ``close()`` knows a graceful shutdown would hang.
     """
 
     kind = "base"
@@ -203,9 +201,6 @@ class ProcessPool(Pool):
 
     def submit(self, fn: Callable, *args) -> Future:
         return self._executor.submit(fn, *args)
-
-    def mark_dirty(self) -> None:
-        self.dirty = True
 
     def respawn(self) -> None:
         self.dirty = True

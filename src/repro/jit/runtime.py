@@ -28,8 +28,7 @@ start lies beyond them.
 Traces are cached per :class:`~repro.isa.program.Program` identity in a
 ``WeakKeyDictionary`` — per-process, like the engine's other memos, and
 dropped automatically when the program dies.  Counters live in
-:data:`STATS` and flow into ``EngineStats`` / ``--profile`` /
-``repro serve`` ``/stats``.
+:data:`STATS` only.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from repro.core.processor import SCALAR_TRANSFER
 
 
 class JitStats:
-    """Process-wide trace-JIT counters (mirrored into ``EngineStats``)."""
+    """Process-wide trace-JIT counters."""
 
     __slots__ = ("trace_cache_hits", "trace_cache_misses",
                  "invalidations", "deopts", "compile_rejects",

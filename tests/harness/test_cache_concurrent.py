@@ -4,8 +4,8 @@ Two real processes ``put()`` the same key at the same instant (a
 barrier lines them up).  The crash-safe write protocol — tmp file,
 fsync, atomic ``os.replace`` — must leave exactly one valid committed
 entry and zero ``*.tmp.*`` debris, whichever writer wins.  This is the
-property the serve layer leans on when duplicate submissions race a
-cache slot across worker processes.
+property concurrent ``repro report --jobs N`` processes lean on when
+they share one ``.repro-cache/`` and race to fill the same cell.
 """
 
 import multiprocessing

@@ -6,6 +6,7 @@ pool-safe way to make a worker trap (monkeypatched functions do not
 survive the trip into a ProcessPoolExecutor worker).
 """
 
+import dataclasses
 import math
 import os
 import pickle
@@ -263,10 +264,12 @@ class TestCacheCrashSafety:
 
 class TestEngineStats:
     def test_stats_reset(self):
-        STATS.cell_failures = 5
+        names = [field.name for field in dataclasses.fields(STATS)]
+        for value, name in enumerate(names, start=1):
+            setattr(STATS, name, value)
         STATS.reset()
-        assert STATS.cell_failures == 0
-        assert STATS.pool_fallbacks == 0
+        assert {name: getattr(STATS, name) for name in names} == \
+            dict.fromkeys(names, 0)
 
     def test_failures_counted(self):
         execute_captured(BAD)

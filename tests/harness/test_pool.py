@@ -130,8 +130,8 @@ class TestBackends:
 class TestPolicyValidation:
     """Every budget knob rejects nonsense at construction, with a
     message that names the field and the ``None`` escape hatch —
-    a serve config typo must fail the ``serve`` command at startup,
-    not hang a grid at 2am."""
+    a ``--timeout``/``--deadline`` typo on the CLI must fail the
+    command at startup, not hang a grid at 2am."""
 
     @pytest.mark.parametrize("bad", [0, -1, -0.5])
     def test_rejects_nonpositive_timeout(self, bad):

@@ -94,15 +94,15 @@ class TestParser:
         assert args.timeout == 4.0 and args.quick
         assert args.log == "drill.txt"
 
-    def test_chaos_layer_choices_are_validated(self):
+    @pytest.mark.parametrize("layer", ["network", "serve"])
+    def test_chaos_layer_choices_are_validated(self, layer):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos", "--layer", "network"])
+            build_parser().parse_args(["chaos", "--layer", layer])
 
-    def test_chaos_serve_layer_parses(self):
-        args = build_parser().parse_args(
-            ["chaos", "--layer", "serve", "--seed", "1234", "--quick",
-             "--jobs", "2", "--timeout", "3"])
-        assert args.layer == "serve" and args.seed == 1234
+    def test_serve_is_not_a_command(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve"])
+        assert exc.value.code == 2
 
     def test_list_suites_takes_format(self):
         assert build_parser().parse_args(["list-suites"]).format == "text"
@@ -110,23 +110,6 @@ class TestParser:
         assert args.format == "json"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["list-suites", "--format", "yaml"])
-
-    def test_serve_registered_with_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.command == "serve"
-        assert args.host == "127.0.0.1" and args.port == 8537
-        assert args.jobs == 0 and args.queue_limit == 256
-        assert args.timeout is None and not args.no_cache
-
-    def test_serve_takes_the_pool_budget_flags(self):
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--jobs", "2", "--queue-limit", "8",
-             "--batch-max", "4", "--timeout", "5", "--deadline", "60",
-             "--retries", "0", "--no-cache"])
-        assert args.port == 0 and args.jobs == 2
-        assert args.queue_limit == 8 and args.batch_max == 4
-        assert args.timeout == 5.0 and args.deadline == 60.0
-        assert args.retries == 0 and args.no_cache
 
 
 class TestCommands:
