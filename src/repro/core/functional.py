@@ -61,6 +61,34 @@ class OperationCounts:
         if tag:
             self.by_tag[tag] = self.by_tag.get(tag, 0) + amount
 
+    def add(self, instr: Instruction, n: int) -> None:
+        """Count one executed ``instr`` that operated on ``n`` elements."""
+        d = instr.definition
+        if d.group is Group.SC:
+            self.scalar_instructions += 1
+            self.other += 1
+            self._bump_tag(instr.tag, 1)
+            return
+        self.vector_instructions += 1
+        if instr.is_prefetch:
+            # Prefetches move data but do no architecturally-counted work;
+            # the paper's OPC counts real computation only.
+            self.prefetch_elements += n
+            return
+        if d.is_memory:
+            self.memory_elements += n
+            self._bump_tag(instr.tag, n)
+        elif d.flops:
+            self.flops += n * d.flops
+            self._bump_tag(instr.tag, n * d.flops)
+        elif d.timing in (TimingClass.CTRL,):
+            # control-register moves are near-free; count one op
+            self.other += 1
+            self._bump_tag(instr.tag, 1)
+        else:
+            self.other += n
+            self._bump_tag(instr.tag, n)
+
 
 @dataclass
 class Checkpoint:
@@ -101,34 +129,6 @@ class FunctionalSimulator:
             return 0
         return self.state.active_count(instr.masked)
 
-    def _account(self, instr: Instruction) -> None:
-        d = instr.definition
-        if d.group is Group.SC:
-            self.counts.scalar_instructions += 1
-            self.counts.other += 1
-            self.counts._bump_tag(instr.tag, 1)
-            return
-        self.counts.vector_instructions += 1
-        n = self.active_elements(instr)
-        if instr.is_prefetch:
-            # Prefetches move data but do no architecturally-counted work;
-            # the paper's OPC counts real computation only.
-            self.counts.prefetch_elements += n
-            return
-        if d.is_memory:
-            self.counts.memory_elements += n
-            self.counts._bump_tag(instr.tag, n)
-        elif d.flops:
-            self.counts.flops += n * d.flops
-            self.counts._bump_tag(instr.tag, n * d.flops)
-        elif d.timing in (TimingClass.CTRL,):
-            # control-register moves are near-free; count one op
-            self.counts.other += 1
-            self.counts._bump_tag(instr.tag, 1)
-        else:
-            self.counts.other += n
-            self.counts._bump_tag(instr.tag, n)
-
     def checkpoint(self) -> Checkpoint:
         """Snapshot the full resumable state at the current instruction."""
         return Checkpoint(
@@ -163,7 +163,7 @@ class FunctionalSimulator:
                     poison_tail=self.poison_tail)
         except ArchitecturalTrap as trap:
             raise trap.attribute(self.instructions_executed) from None
-        self._account(instr)
+        self.counts.add(instr, self.active_elements(instr))
         self.instructions_executed += 1
 
     def _touched_addresses(self, instr: Instruction) -> np.ndarray | None:

@@ -10,6 +10,10 @@ Scheduling model (see DESIGN.md section 5): instructions are processed
 in program order; each computes its dispatch time from the front-end
 rate (8/cycle overall, 3/cycle into the Vbox), the ROB window, and its
 source operands' ready times, then reserves the resources it needs.
+:meth:`TarantulaProcessor._schedule` is the one copy of that
+arithmetic: the interpreter's :meth:`~TarantulaProcessor.step` and the
+trace JIT's batches both call it with the instruction's interned
+:class:`Sched` record.
 Memory ordering follows the Alpha memory model: the timing simulator
 lets independent accesses overlap freely (kernels that need ordering
 use DrainM, exactly as the paper's do), while the functional simulator
@@ -48,6 +52,61 @@ SCALAR_TRANSFER = 10.0
 #: f"mem_{kind}" per retired memory instruction is measurable)
 _MEM_COUNTER = {kind: f"mem_{kind}" for kind in
                 ("pump", "reordered", "cr", "empty")}
+
+#: :attr:`Sched.route` values: which ``_time_*`` helper times the op
+SCALAR, CONTROL, MEMORY, ARITHMETIC = (
+    "scalar", "control", "memory", "arithmetic")
+
+#: control ops that start a new vl/vs/vm regime
+_REGIME_OPS = frozenset(("setvl", "setvs", "setvm"))
+
+
+class Sched:
+    """The operands one instruction's dispatch waits on, and its route.
+
+    Depends only on the operand shape, so records are interned per
+    shape (:func:`sched_for`) and carry no machine-config data: one
+    record serves every processor and every compiled trace.
+    """
+
+    __slots__ = ("route", "vsrc", "ssrc", "needs_vl", "needs_vs",
+                 "needs_vm")
+
+    def __init__(self, instr: Instruction) -> None:
+        d = instr.definition
+        if d.group is Group.SC:
+            self.route = SCALAR
+        elif d.group is Group.VC:
+            self.route = CONTROL
+        elif d.is_memory:
+            self.route = MEMORY
+        else:
+            self.route = ARITHMETIC
+        vsrc = list(instr.vreg_reads())
+        if d.is_store and instr.va in vsrc:
+            # store data does not gate address generation or the tag
+            # lookup (the store queue holds it; _time_memory waits for
+            # it).  Drop the data operand only (vreg_reads lists va
+            # first): a scatter's index may name the same register.
+            vsrc.remove(instr.va)
+        self.vsrc = tuple(vsrc)
+        self.ssrc = tuple(r for r in (instr.ra, instr.rb) if r is not None)
+        self.needs_vl = d.group in (Group.VV, Group.VS, Group.SM, Group.RM)
+        self.needs_vs = d.is_memory and not d.is_indexed
+        self.needs_vm = instr.masked
+
+
+_SCHEDS: dict[tuple, Sched] = {}
+
+
+def sched_for(instr: Instruction) -> Sched:
+    """The interned :class:`Sched` for ``instr``'s operand shape."""
+    key = (instr.op, instr.vd, instr.va, instr.vb, instr.ra, instr.rb,
+           instr.masked)
+    sched = _SCHEDS.get(key)
+    if sched is None:
+        sched = _SCHEDS[key] = Sched(instr)
+    return sched
 
 
 class TarantulaProcessor:
@@ -120,6 +179,8 @@ class TarantulaProcessor:
         self._vm_ready = 0.0
         self._front_all = 0.0      # 8-wide front end position
         self._front_vec = 0.0      # 3-wide Pbox->Vbox bus position
+        self._core_slot = 1.0 / cfg.core_issue_width
+        self._vbox_slot = 1.0 / cfg.vbox_issue_width
         self._rob: deque[float] = deque()
         self._last_completion = 0.0
 
@@ -129,56 +190,52 @@ class TarantulaProcessor:
         """Preload an address range into the L2 tags (no timing cost)."""
         self.l2.warm_range(base, nbytes)
 
-    def _sources_ready(self, instr: Instruction) -> float:
-        d = instr.definition
-        vreg_ready = self._vreg_ready
-        sreg_ready = self._sreg_ready
-        ready = 0.0
-        for reg in instr.vreg_reads():
-            if d.is_store and reg == instr.va:
-                # store *data* does not gate address generation/tag lookup
-                # (the store queue holds it); _time_memory accounts for it
-                continue
-            t = vreg_ready[reg]
-            if t > ready:
-                ready = t
-        # scalar operands cross the narrow interface
-        for reg in (instr.ra, instr.rb):
-            if reg is not None:
-                t = sreg_ready[reg]
-                if d.group is not Group.SC:
-                    t += SCALAR_TRANSFER
-                if t > ready:
-                    ready = t
-        if d.group in (Group.VV, Group.VS, Group.SM, Group.RM) \
-                and self._vl_ready > ready:
-            ready = self._vl_ready
-        if d.is_memory and not d.is_indexed and self._vs_ready > ready:
-            ready = self._vs_ready
-        if instr.masked and self._vm_ready > ready:
-            ready = self._vm_ready
-        if d.group in (Group.RM,) or (d.is_memory and d.is_indexed):
-            if instr.vb is not None and instr.vb != 31:
-                t = vreg_ready[instr.vb]
-                if t > ready:
-                    ready = t
-        return ready
+    def _schedule(self, instr: Instruction,
+                  sched: Sched) -> tuple[float, float]:
+        """Dispatch ``instr`` and time it; returns ``(t0, done)``.
 
-    def _dispatch_time(self, instr: Instruction) -> float:
-        """Front-end position: fetch/rename bandwidth + ROB window."""
-        d = instr.definition
-        self._front_all += 1.0 / self.config.core_issue_width
-        t = self._front_all
-        if d.group is not Group.SC:
+        ``t0`` is the latest of the front-end position (fetch/rename
+        bandwidth, plus the Pbox->Vbox bus for vector ops), the ROB
+        window and the ready times of the sources ``sched`` names; the
+        route's ``_time_*`` helper then reserves resources from ``t0``.
+        The caller retires ``done``.
+        """
+        route = sched.route
+        t = self._front_all = self._front_all + self._core_slot
+        if route is not SCALAR:
             fv = self._front_vec
             if t > fv:
                 fv = t
-            t = self._front_vec = fv + 1.0 / self.config.vbox_issue_width
-        if len(self._rob) >= self.config.rob_entries:
-            head = self._rob.popleft()
+            t = self._front_vec = fv + self._vbox_slot
+        rob = self._rob
+        if len(rob) >= self.config.rob_entries:
+            head = rob.popleft()
             if head > t:
                 t = head
-        return t
+        vreg_ready = self._vreg_ready
+        for reg in sched.vsrc:
+            if vreg_ready[reg] > t:
+                t = vreg_ready[reg]
+        # scalar operands of vector ops cross the narrow interface
+        transfer = 0.0 if route is SCALAR else SCALAR_TRANSFER
+        sreg_ready = self._sreg_ready
+        for reg in sched.ssrc:
+            ready = sreg_ready[reg] + transfer
+            if ready > t:
+                t = ready
+        if sched.needs_vl and self._vl_ready > t:
+            t = self._vl_ready
+        if sched.needs_vs and self._vs_ready > t:
+            t = self._vs_ready
+        if sched.needs_vm and self._vm_ready > t:
+            t = self._vm_ready
+        if route is MEMORY:
+            return t, self._time_memory(instr, t)
+        if route is ARITHMETIC:
+            return t, self._time_arithmetic(instr, t)
+        if route is SCALAR:
+            return t, self._time_scalar(instr, t)
+        return t, self._time_control(instr, t)
 
     def _retire(self, completion: float) -> None:
         self._rob.append(completion)
@@ -203,14 +260,11 @@ class TarantulaProcessor:
         done = t0 + 1.0
         if op == "setvl":
             self._vl_ready = done
-            self.addr_gens.invalidate_plans()
         elif op == "setvs":
             self._vs_ready = done
-            self.addr_gens.invalidate_plans()
         elif op == "setvm":
             # vm is renamed: the new mask is ready once va is, +1 cycle
             self._vm_ready = done
-            self.addr_gens.invalidate_plans()
         elif op in ("vextq", "vsumq", "vsumt"):
             # reductions sweep the register (ceil(vl/16)) then transfer
             vl = self.functional.state.ctrl.vl
@@ -359,23 +413,16 @@ class TarantulaProcessor:
         put so a recovered run can re-execute it in place.
         """
         idx = self._instr_index
-        d = instr.definition
         try:
-            t0 = self._dispatch_time(instr)
-            src = self._sources_ready(instr)
-            if src > t0:
-                t0 = src
-            if d.group is Group.SC:
-                done = self._time_scalar(instr, t0)
-            elif d.group is Group.VC:
-                done = self._time_control(instr, t0)
-            elif d.is_memory:
-                done = self._time_memory(instr, t0)
-            else:
-                done = self._time_arithmetic(instr, t0)
+            t0, done = self._schedule(instr, sched_for(instr))
             self.functional.step(instr)
         except ArchitecturalTrap as trap:
             raise trap.attribute(idx) from None
+        if instr.op in _REGIME_OPS:
+            # a new vl/vs/vm regime drops the cached address plans (the
+            # JIT's batched setvl/setvs only re-assert the guarded
+            # regime, so they never get here)
+            self.addr_gens.invalidate_plans()
         self._retire(done)
         if self.trace is not None:
             self.trace.append((idx, instr, t0, done))

@@ -34,14 +34,15 @@ Eligibility (anything else deoptimizes to the interpreter):
   symbolically here and re-checked against live base registers at every
   region entry.
 
-The timing half does not batch the machine model: it replays the
-interpreter's per-instruction scheduling with precomputed slot metadata
-(see :mod:`repro.jit.runtime`), calling the real ``plan()``/L2/coherency
-paths so cycles stay bit-identical by construction.  What it *skips* is
-the plan-cache invalidation on in-region ``setvl``/``setvs``: those
+The timing half does not batch the machine model: it calls the
+interpreter's own ``TarantulaProcessor._schedule`` per instruction with
+the trace's per-slot :class:`~repro.core.processor.Sched` records (see
+:mod:`repro.jit.runtime`), so cycles stay bit-identical by
+construction.  What it *skips* is the plan-cache invalidation that
+``step()`` performs after in-region ``setvl``/``setvs``: those
 re-assert the guarded regime, so invalidation would only thrash the
-PR 5 plan cache (cycles are unaffected — a replayed plan is identical
-to a rebuilt one, which the plan-cache differential suite proves).
+plan cache (cycles are unaffected — a replayed plan is identical to a
+rebuilt one, which the plan-cache differential suite proves).
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.depgraph import block_dataflow
-from repro.isa.instructions import Group, TimingClass
+from repro.core.functional import OperationCounts
+from repro.core.processor import sched_for
+from repro.isa.instructions import Group
 from repro.isa.registers import MVL
 from repro.isa.semantics import (
     _FP_BINOPS,
@@ -208,42 +211,26 @@ def check_disjoint(mem_slots, sregs, vl, vs, R) -> bool:
     return True
 
 
-class SlotTiming:
-    """Precomputed per-slot inputs of the interpreter's scheduling step."""
-
-    __slots__ = ("route", "is_sc", "vsrc", "ssrc", "transfer",
-                 "needs_vl", "needs_vs")
-
-    def __init__(self, route, is_sc, vsrc, ssrc, transfer, needs_vl,
-                 needs_vs):
-        self.route = route
-        self.is_sc = is_sc
-        self.vsrc = vsrc
-        self.ssrc = ssrc
-        self.transfer = transfer
-        self.needs_vl = needs_vl
-        self.needs_vs = needs_vs
-
-
 class CompiledTrace:
     """One region compiled against a vl/vs regime."""
 
-    __slots__ = ("period", "vl", "vs", "steps", "slots_timing",
-                 "mem_slots", "written_vregs", "written_sregs",
-                 "counts_inc", "tag_inc", "plan_store")
+    __slots__ = ("period", "vl", "vs", "steps", "scheds", "mem_slots",
+                 "written_vregs", "written_sregs", "counts_inc",
+                 "plan_store")
 
-    def __init__(self, period, vl, vs, steps, slots_timing, mem_slots,
-                 written_vregs, written_sregs, counts_inc, tag_inc):
+    def __init__(self, period, vl, vs, steps, scheds, mem_slots,
+                 written_vregs, written_sregs, counts_inc):
         self.period = period
         self.vl = vl
         self.vs = vs
         self.steps = steps
-        self.slots_timing = slots_timing
+        #: per-slot scheduling records for ``TarantulaProcessor._schedule``
+        self.scheds = scheds
         self.mem_slots = mem_slots
         self.written_vregs = written_vregs
         self.written_sregs = written_sregs
+        #: one iteration's OperationCounts
         self.counts_inc = counts_inc
-        self.tag_inc = tag_inc
         #: address-plan cache entries harvested after a timing batch,
         #: re-seeded into the (per-processor) plan cache before the next
         #: one — a fresh processor then *replays* every strided plan the
@@ -492,26 +479,6 @@ def _make_scalar(instr):
 # -- compilation ------------------------------------------------------------
 
 
-def _timing_slot(instr):
-    d = instr.definition
-    vsrc = tuple(r for r in instr.vreg_reads()
-                 if not (d.is_store and r == instr.va))
-    ssrc = tuple(r for r in (instr.ra, instr.rb) if r is not None)
-    if d.group is Group.SC:
-        route = "sc"
-    elif d.group is Group.VC:
-        route = instr.op                     # "setvl" | "setvs"
-    elif d.is_memory:
-        route = "mem"
-    else:
-        route = "arith"
-    return SlotTiming(
-        route=route, is_sc=d.group is Group.SC, vsrc=vsrc, ssrc=ssrc,
-        transfer=d.group is not Group.SC,
-        needs_vl=d.group in (Group.VV, Group.VS, Group.SM, Group.RM),
-        needs_vs=d.is_memory and not d.is_indexed)
-
-
 def _operand_fetchers(instr, flow, m, fp_imm=None):
     """(fetch_a, fetch_b) for an operate's two sources; validates reads."""
     d = instr.definition
@@ -688,7 +655,10 @@ def compile_region(program, region, state) -> CompiledTrace:
                           max(region.reps - 1, 1)):
         raise TraceReject("memory slots not provably disjoint")
 
-    counts_inc, tag_inc = _accounting(slots, vl)
+    counts_inc = OperationCounts()
+    for instr in slots:
+        # nothing batched is masked, so every op covers all vl elements
+        counts_inc.add(instr, vl)
     seen: set = set()
     written_vregs = [r for r in written_vregs
                      if not (r in seen or seen.add(r))]
@@ -698,45 +668,8 @@ def compile_region(program, region, state) -> CompiledTrace:
     return CompiledTrace(
         period=p, vl=vl, vs=vs,
         steps=[s for s in steps if s is not None],
-        slots_timing=[_timing_slot(i) for i in slots],
+        scheds=[sched_for(i) for i in slots],
         mem_slots=mem_slots,
         written_vregs=tuple(written_vregs),
         written_sregs=tuple(written_sregs),
-        counts_inc=counts_inc, tag_inc=tag_inc)
-
-
-def _accounting(slots, vl):
-    """Per-iteration OperationCounts increments (mirrors ``_account``)."""
-    inc = {"flops": 0, "memory_elements": 0, "other": 0,
-           "scalar_instructions": 0, "vector_instructions": 0,
-           "prefetch_elements": 0}
-    tags: dict = {}
-
-    def bump(tag, amount):
-        if tag:
-            tags[tag] = tags.get(tag, 0) + amount
-
-    for instr in slots:
-        d = instr.definition
-        if d.group is Group.SC:
-            inc["scalar_instructions"] += 1
-            inc["other"] += 1
-            bump(instr.tag, 1)
-            continue
-        inc["vector_instructions"] += 1
-        if instr.is_prefetch:
-            inc["prefetch_elements"] += vl
-            continue
-        if d.is_memory:
-            inc["memory_elements"] += vl
-            bump(instr.tag, vl)
-        elif d.flops:
-            inc["flops"] += vl * d.flops
-            bump(instr.tag, vl * d.flops)
-        elif d.timing in (TimingClass.CTRL,):
-            inc["other"] += 1
-            bump(instr.tag, 1)
-        else:
-            inc["other"] += vl
-            bump(instr.tag, vl)
-    return inc, tags
+        counts_inc=counts_inc)

@@ -16,11 +16,14 @@ and enters a trace at each recorded region head:
    *validation* run first and mutate nothing, so an architectural trap
    mid-batch deoptimizes with zero side effects and the interpreter
    re-executes the iterations one by one, trapping at the precise PC.
-   The timing half then replays the interpreter's per-instruction
-   scheduling (same ``_time_*`` helpers, same dispatch/ROB arithmetic)
-   over the real instruction objects — cycles are bit-identical by
+   The timing half then calls the interpreter's own scheduling routine,
+   ``TarantulaProcessor._schedule``, on every batched instruction with
+   the trace's per-slot ``Sched`` records — cycles are bit-identical by
    construction — and finally the functional results commit.
 
+Both simulators enter regions through the same burst loop
+(:func:`_batches`) and the same trim-and-guard prologue
+(:func:`_enter`).
 A deoptimized entry consumes only the trimmed first iteration; the
 burst loop interprets the remaining iterations because the next region
 start lies beyond them.
@@ -47,9 +50,6 @@ from repro.jit.compiler import (
 )
 from repro.jit.recorder import find_regions
 from repro.vbox.reorder import BANK_PERIOD
-
-#: imported for the inlined source-ready check (matches processor.py)
-from repro.core.processor import SCALAR_TRANSFER
 
 
 class JitStats:
@@ -162,8 +162,9 @@ def _compute_batch(trace, R, state, mem):
     return ctx
 
 
-def _commit_batch(trace, ctx, sim, R) -> None:
-    """Phase 3: write registers, memory and counters for R iterations."""
+def _commit_batch(trace, ctx, sim) -> None:
+    """Phase 3: write registers, memory and counters for the batch."""
+    R = ctx.R
     state = sim.state
     vl = trace.vl
     vregs = state.vregs._regs
@@ -182,48 +183,56 @@ def _commit_batch(trace, ctx, sim, R) -> None:
         mem.write_quads(addrs, vals)
     c = sim.counts
     inc = trace.counts_inc
-    c.flops += inc["flops"] * R
-    c.memory_elements += inc["memory_elements"] * R
-    c.other += inc["other"] * R
-    c.scalar_instructions += inc["scalar_instructions"] * R
-    c.vector_instructions += inc["vector_instructions"] * R
-    c.prefetch_elements += inc["prefetch_elements"] * R
+    c.flops += inc.flops * R
+    c.memory_elements += inc.memory_elements * R
+    c.other += inc.other * R
+    c.scalar_instructions += inc.scalar_instructions * R
+    c.vector_instructions += inc.vector_instructions * R
+    c.prefetch_elements += inc.prefetch_elements * R
     by_tag = c.by_tag
-    for tag, v in trace.tag_inc.items():
+    for tag, v in inc.by_tag.items():
         by_tag[tag] = by_tag.get(tag, 0) + v * R
     sim.instructions_executed += trace.period * R
     STATS.batched_instructions += trace.period * R
 
 
-# -- functional-only execution ----------------------------------------------
+# -- the entry sequence both simulators share --------------------------------
 
 
-def _execute_functional(entry, program, sim) -> int:
-    """Run one region on the functional simulator; returns instructions
-    consumed (``period`` on deopt — the trimmed first iteration)."""
+def _enter(entry, program, step, fn):
+    """Trim, guard and compute one region entry.
+
+    Interprets the region's first iteration through ``step``, selects
+    the trace for the live regime and re-proves its guards against
+    ``fn``, the functional simulator.  Returns ``(trace, ctx)`` for a
+    batch of the remaining ``reps - 1`` iterations, or None when the
+    entry deoptimizes.
+    """
     region = entry.region
-    start, period = region.start, region.period
-    step = sim.step
-    for j in range(start, start + period):
+    start = region.start
+    for j in range(start, start + region.period):
         step(program[j])
-    trace = _trace_for(entry, program, sim.state)
+    trace = _trace_for(entry, program, fn.state)
     if trace is None:
-        return period
+        return None
     R = region.reps - 1
-    mem = sim.memory
+    mem = fn.memory
     if mem._poisoned or not check_disjoint(
-            trace.mem_slots, sim.state.sregs, trace.vl, trace.vs, R):
+            trace.mem_slots, fn.state.sregs, trace.vl, trace.vs, R):
         STATS.deopts += 1
-        return period
-    ctx = _compute_batch(trace, R, sim.state, mem)
-    if ctx is None:
-        return period
-    _commit_batch(trace, ctx, sim, R)
-    return period * region.reps
+        return None
+    ctx = _compute_batch(trace, R, fn.state, mem)
+    return None if ctx is None else (trace, ctx)
 
 
-def run_functional(sim, program):
-    """JIT-enabled replacement for ``FunctionalSimulator.run``."""
+def _batches(sim, fn, program):
+    """Interpret ``sim`` in bursts between region starts.
+
+    Each region start goes through :func:`_enter`.  A batch that passes
+    its guards is yielded as ``(region, trace, ctx)``, and the caller
+    commits it before iterating on.  A deoptimized entry consumes only
+    the trimmed first iteration.
+    """
     pt = traces_for(program)
     n = len(program)
     starts = pt.starts
@@ -240,8 +249,24 @@ def run_functional(sim, program):
             i += 1
         if i >= n:
             break
-        i += _execute_functional(pt.entries[i], program, sim)
+        entry = pt.entries[i]
+        region = entry.region
+        batch = _enter(entry, program, step, fn)
+        if batch is None:
+            i += region.period
+        else:
+            yield (region, *batch)
+            i += region.period * region.reps
         si += 1
+
+
+# -- functional-only execution ----------------------------------------------
+
+
+def run_functional(sim, program):
+    """JIT-enabled replacement for ``FunctionalSimulator.run``."""
+    for _region, trace, ctx in _batches(sim, sim, program):
+        _commit_batch(trace, ctx, sim)
     return sim.counts
 
 
@@ -299,146 +324,41 @@ def _harvest_plans(proc, program, trace, start: int, R: int) -> None:
 
 
 def _time_batch(proc, program, trace, start, R) -> None:
-    """Replay the interpreter's scheduling for R batched iterations.
+    """Schedule R batched iterations exactly as ``step()`` would.
 
-    Mirrors ``TarantulaProcessor.step`` exactly — same dispatch/ROB
-    arithmetic, same source-ready rules (specialized via the compiled
-    slot metadata), same ``_time_scalar``/``_time_memory``/
-    ``_time_arithmetic`` helpers over the *real* instruction objects —
-    except ``setvl``/``setvs``: they re-assert the guarded regime, so
-    the plan-cache invalidation is skipped (replayed plans equal rebuilt
-    ones; the scoreboard/VCU updates are kept) and the functional half
-    runs batched instead of per instruction.
+    Every instruction goes through ``TarantulaProcessor._schedule`` with
+    its slot's ``Sched`` record and then retires; only the functional
+    half runs batched.  The batched ``setvl``/``setvs`` re-assert the
+    guarded regime, so they skip the plan-cache invalidation ``step()``
+    performs (replayed plans equal rebuilt ones).
     """
     period = trace.period
-    slots = trace.slots_timing
-    cfg = proc.config
-    inv_core = 1.0 / cfg.core_issue_width
-    inv_vbox = 1.0 / cfg.vbox_issue_width
-    rob_entries = cfg.rob_entries
-    rob = proc._rob
-    vr = proc._vreg_ready
-    sr = proc._sreg_ready
-    vcu_complete = proc.vcu.complete
-    time_scalar = proc._time_scalar
-    time_memory = proc._time_memory
-    time_arith = proc._time_arithmetic
-    idx = start + period
+    scheds = trace.scheds
+    schedule = proc._schedule
+    retire = proc._retire
     try:
-        for k in range(R):
-            base = start + period * (k + 1)
-            for m in range(period):
-                st = slots[m]
+        for base in range(start + period, start + period * (R + 1),
+                          period):
+            for m, sched in enumerate(scheds):
                 idx = base + m
-                instr = program[idx]
-                # dispatch (= _dispatch_time)
-                t = proc._front_all = proc._front_all + inv_core
-                if not st.is_sc:
-                    fv = proc._front_vec
-                    if t > fv:
-                        fv = t
-                    t = proc._front_vec = fv + inv_vbox
-                if len(rob) >= rob_entries:
-                    head = rob.popleft()
-                    if head > t:
-                        t = head
-                # sources (= _sources_ready for compiled-eligible ops:
-                # never masked, never indexed)
-                for reg in st.vsrc:
-                    rt = vr[reg]
-                    if rt > t:
-                        t = rt
-                if st.transfer:
-                    for reg in st.ssrc:
-                        rt = sr[reg] + SCALAR_TRANSFER
-                        if rt > t:
-                            t = rt
-                else:
-                    for reg in st.ssrc:
-                        rt = sr[reg]
-                        if rt > t:
-                            t = rt
-                if st.needs_vl:
-                    rt = proc._vl_ready
-                    if rt > t:
-                        t = rt
-                if st.needs_vs:
-                    rt = proc._vs_ready
-                    if rt > t:
-                        t = rt
-                route = st.route
-                if route == "mem":
-                    done = time_memory(instr, t)
-                elif route == "arith":
-                    done = time_arith(instr, t)
-                elif route == "sc":
-                    done = time_scalar(instr, t)
-                elif route == "setvl":
-                    done = t + 1.0
-                    proc._vl_ready = done
-                    vcu_complete(done)
-                else:  # setvs
-                    done = t + 1.0
-                    proc._vs_ready = done
-                    vcu_complete(done)
-                # retire (= _retire)
-                rob.append(done)
-                if done > proc._last_completion:
-                    proc._last_completion = done
+                retire(schedule(program[idx], sched)[1])
     except ArchitecturalTrap as trap:
         raise trap.attribute(idx) from None
 
 
-def _execute_timing(entry, program, proc) -> int:
-    """Run one region on the co-simulated pair; returns instructions
-    consumed."""
-    region = entry.region
-    start, period = region.start, region.period
-    step = proc.step
-    for j in range(start, start + period):
-        step(program[j])
-    fn = proc.functional
-    trace = _trace_for(entry, program, fn.state)
-    if trace is None:
-        return period
-    R = region.reps - 1
-    mem = fn.memory
-    if mem._poisoned or not check_disjoint(
-            trace.mem_slots, fn.state.sregs, trace.vl, trace.vs, R):
-        STATS.deopts += 1
-        return period
-    # functional compute first (mutates nothing), then timing — the
-    # timing helpers read only region-invariant functional state (the
-    # guarded vl/vs regime and memory base registers the compiler
-    # proved are not written in-region) — then commit
-    ctx = _compute_batch(trace, R, fn.state, mem)
-    if ctx is None:
-        return period
-    _seed_plans(proc, trace)
-    _time_batch(proc, program, trace, start, R)
-    _harvest_plans(proc, program, trace, start, R)
-    _commit_batch(trace, ctx, fn, R)
-    proc._instr_index += period * R
-    return period * region.reps
-
-
 def run_timing(proc, program) -> None:
-    """JIT-enabled co-simulated execution of a whole program."""
-    pt = traces_for(program)
-    n = len(program)
-    starts = pt.starts
-    step = proc.step
-    i = 0
-    si = 0
-    nstarts = len(starts)
-    while i < n:
-        while si < nstarts and starts[si] < i:
-            si += 1
-        nxt = starts[si] if si < nstarts else n
-        while i < nxt:
-            step(program[i])
-            i += 1
-        if i >= n:
-            break
-        i += _execute_timing(pt.entries[i], program, proc)
-        si += 1
+    """JIT-enabled co-simulated execution of a whole program.
+
+    Each batch is timed before it commits: the ``_time_*`` helpers read
+    only region-invariant functional state (the guarded vl/vs regime
+    and memory base registers the compiler proved are not written
+    in-region).
+    """
+    fn = proc.functional
+    for region, trace, ctx in _batches(proc, fn, program):
+        start, R = region.start, ctx.R
+        _seed_plans(proc, trace)
+        _time_batch(proc, program, trace, start, R)
+        _harvest_plans(proc, program, trace, start, R)
+        _commit_batch(trace, ctx, fn)
+        proc._instr_index += trace.period * R

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -653,23 +652,14 @@ _TAG_MODELS = {
     "reference": SetAssocCacheReference,
 }
 
-#: Active model name; `REPRO_TAG_MODEL=reference` flips the default
-#: process-wide (the differential bench/CLI paths use this).
-_active_tag_model = os.environ.get("REPRO_TAG_MODEL", "numpy")
-if _active_tag_model not in _TAG_MODELS:
-    _active_tag_model = "numpy"
-
-
-def active_tag_model() -> str:
-    """Name of the tag model new caches will use ('numpy'/'reference')."""
-    return _active_tag_model
+#: the model new caches use; :func:`use_tag_model` switches it
+_tag_model = "numpy"
 
 
 def make_tag_cache(capacity_bytes: int, ways: int,
                    line_bytes: int = LINE_BYTES, name: str = "cache"):
     """Construct a tag array using the active model."""
-    return _TAG_MODELS[_active_tag_model](capacity_bytes, ways,
-                                          line_bytes, name)
+    return _TAG_MODELS[_tag_model](capacity_bytes, ways, line_bytes, name)
 
 
 @contextlib.contextmanager
@@ -679,13 +669,13 @@ def use_tag_model(model: str) -> Iterator[None]:
     >>> with use_tag_model("reference"):
     ...     proc = TarantulaProcessor(...)   # dict-of-lists tags
     """
-    global _active_tag_model
+    global _tag_model
     if model not in _TAG_MODELS:
         raise ConfigError(f"unknown tag model {model!r} "
                           f"(have {sorted(_TAG_MODELS)})")
-    previous = _active_tag_model
-    _active_tag_model = model
+    previous = _tag_model
+    _tag_model = model
     try:
         yield
     finally:
-        _active_tag_model = previous
+        _tag_model = previous

@@ -100,6 +100,23 @@ class TestDependencies:
         proc, _ = run_program(kb.build())
         assert proc.counters["memory_order_stalls"] == 0
 
+    def test_scatter_waits_for_index_sharing_its_data_register(self):
+        """Store data does not gate address generation, but a scatter's
+        index does — even when data and index name the same register."""
+        kb = KernelBuilder("scatter")
+        kb.lda(1, A)
+        kb.setvl(128)
+        kb.setvs(8)
+        kb.vloadq(5, rb=1)          # cold: misses all the way to memory
+        kb.vscatq(5, 5, rb=1)       # data and index share v5
+        proc = TarantulaProcessor(tarantula())
+        proc.trace = []
+        proc.run(kb.build())
+        (_, load, _, load_done), (_, scatter, scatter_t0, _) = proc.trace[-2:]
+        assert (load.op, scatter.op) == ("vloadq", "vscatq")
+        assert load_done > 100
+        assert scatter_t0 >= load_done
+
 
 class TestShortVectors:
     def test_odd_stride_short_vl_pays_full_addr_gen(self):
