@@ -256,8 +256,6 @@ class PoolChaosResult:
     retries: int
     timeouts: int
     preserved_on_break: int
-    stragglers: int
-    speculative_wins: int
     #: injection accounting
     torn_writes: int
     leaked_tmp: int
@@ -287,9 +285,7 @@ class PoolChaosResult:
         lines.append(
             f"  counters: timeouts={self.timeouts} retries={self.retries} "
             f"quarantined={self.quarantined} "
-            f"preserved_on_break={self.preserved_on_break} "
-            f"stragglers={self.stragglers} "
-            f"speculative_wins={self.speculative_wins}")
+            f"preserved_on_break={self.preserved_on_break}")
         lines.append(
             f"  cache damage: torn={self.torn_writes} "
             f"tmp_leaked={self.leaked_tmp} tmp_swept={self.swept_tmp} "
@@ -355,8 +351,7 @@ def run_pool_chaos_oracle(seed: int = 1234, suite: str = "table4",
 
     # pass 2: chaos
     plan = PoolChaosPlan(seed, hang_s=hang_s)
-    policy = PoolPolicy(backend="process", timeout=timeout, retries=retries,
-                        backoff_base=0.05, backoff_seed=seed)
+    policy = PoolPolicy(backend="process", timeout=timeout, retries=retries)
     cache = ChaosCache(cache_root, plan)
     try:
         inner = ProcessPool(jobs)
@@ -388,8 +383,6 @@ def run_pool_chaos_oracle(seed: int = 1234, suite: str = "table4",
         quarantined=delta["quarantined"], retries=delta["retries"],
         timeouts=delta["timeouts"],
         preserved_on_break=delta["preserved_on_break"],
-        stragglers=delta["stragglers"],
-        speculative_wins=delta["speculative_wins"],
         torn_writes=cache.torn, leaked_tmp=cache.leaked_tmp,
         swept_tmp=warm_cache.swept, corrupt_recovered=warm_cache.corrupt,
         retry_budget=retries, events=tuple(pool.event_log()),

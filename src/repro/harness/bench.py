@@ -112,11 +112,11 @@ def _jit_off_sidecar(name: str, scale: float, cycles: float) -> float | None:
 
 
 def _bench_cell(name: str, scale: float) -> dict:
-    """Worker-side cold+warm measurement of one workload (picklable).
+    """Cold+warm measurement of one workload, in-process or in a
+    worker (picklable).
 
-    Workers start with empty memos (fresh process or respawned pool),
-    but clear them anyway so a reused worker still measures a true
-    cold build.
+    Memos are cleared first so the cold run is a true cold build, in
+    this process or in a reused worker alike.
     """
     _clear_memos()
     cold_s, outcome = _run_once(name, scale)
@@ -217,25 +217,15 @@ def run_benchmarks(quick: bool = False,
                         print(f"bench: {name:<14s} TIMED OUT "
                               f"(> {timeout:g}s)", file=progress)
                     continue
-                cold_s, warm_s = cell["cold_s"], cell["warm_s"]
-                instructions = cell["instructions"]
-                simulated_cycles = cell["simulated_cycles"]
-                jit_off_s = cell.get("jit_off_s")
             else:
-                _clear_memos()
-                cold_s, outcome = _run_once(name, scale)
-                warm_s, warm_outcome = _run_once(name, scale)
-                if warm_outcome.cycles != outcome.cycles:
-                    raise RuntimeError(
-                        f"bench: {name} warm rerun diverged "
-                        f"({warm_outcome.cycles} != {outcome.cycles} cycles)")
-                instructions = _instructions(outcome)
-                simulated_cycles = outcome.cycles
-                jit_off_s = _jit_off_sidecar(name, scale, outcome.cycles)
+                cell = _bench_cell(name, scale)
+            cold_s, warm_s = cell["cold_s"], cell["warm_s"]
+            instructions = cell["instructions"]
+            jit_off_s = cell["jit_off_s"]
             workloads[name] = {
                 "suite": _suite_of(name),
                 "instructions": instructions,
-                "simulated_cycles": simulated_cycles,
+                "simulated_cycles": cell["simulated_cycles"],
                 "cold_wall_s": round(cold_s, 4),
                 "warm_wall_s": round(warm_s, 4),
                 "cold_instr_per_s": round(instructions / cold_s, 1),

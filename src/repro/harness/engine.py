@@ -65,10 +65,6 @@ class EngineStats:
     quarantined: int = 0
     #: attempts abandoned for exceeding the per-cell/grid time budget
     timeouts: int = 0
-    #: cells that got a speculative duplicate submission
-    stragglers: int = 0
-    #: cells whose speculative duplicate finished first
-    speculative_wins: int = 0
     #: completed cells kept (not re-simulated) across a mid-grid pool break
     preserved_on_break: int = 0
     #: cells abandoned by a KeyboardInterrupt (Ctrl-C exits 130)
@@ -159,7 +155,8 @@ class CellFailure:
     :class:`ArchitecturalTrap` — while quacking enough like a
     :class:`RunOutcome` (NaN metrics, ``verified=False``) that the
     table/figure renderers can mark the cell and move on instead of
-    dying.  ``attempts`` is 2 once the retry also failed (quarantined).
+    dying.  ``attempts`` is ``retries + 1`` once every retry also failed
+    (quarantined).
     """
 
     spec: "ExperimentSpec"
@@ -630,18 +627,18 @@ def execute_many(specs: Iterable[ExperimentSpec], jobs: int = 1,
     re-simulated.
 
     ``policy`` (default: the module's :data:`DEFAULT_POLICY`) sets the
-    fault budget — per-cell timeout, grid deadline, retries/backoff and
-    straggler speculation; see :class:`~repro.harness.pool.PoolPolicy`.
+    fault budget — per-cell timeout, grid deadline and retries; see
+    :class:`~repro.harness.pool.PoolPolicy`.
     ``pool`` injects a prebuilt backend (chaos drills wrap one); its
     lifetime then belongs to the caller and ``jobs`` is ignored.
 
     A cell that fails becomes a :class:`CellFailure` instead of
-    aborting the grid: it is retried within ``policy.retries`` with
-    seeded exponential backoff, and when the budget is exhausted it is
-    quarantined (``attempts`` = total tries, counted in
-    ``STATS.quarantined``).  Timed-out cells degrade into
-    ``CellFailure(error_type="Timeout")``; a mid-grid pool break keeps
-    completed results and re-runs only unfinished cells serially.
+    aborting the grid: it is retried at once within ``policy.retries``,
+    and when the budget is exhausted it is quarantined (``attempts`` =
+    total tries, counted in ``STATS.quarantined``).  Timed-out cells
+    degrade into ``CellFailure(error_type="Timeout")``; a mid-grid pool
+    break keeps completed results and re-runs only unfinished cells
+    serially.
     Failures are never cached — the next run gets a fresh attempt.
     """
     specs = list(specs)

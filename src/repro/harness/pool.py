@@ -9,12 +9,9 @@ scheduler, :func:`run_grid`, that owns the fault budget:
 * **per-cell timeouts** — an attempt that exceeds ``policy.timeout``
   wall-clock seconds is abandoned (the worker becomes a *zombie*; when
   zombies saturate the pool it is respawned) and the cell retried;
-* **bounded retries with seeded backoff** — a failed or timed-out cell
-  is retried up to ``policy.retries`` times, spaced by deterministic
-  exponential backoff plus seeded jitter (:func:`backoff_delay`);
-* **straggler speculation** — a cell running longer than ``k×`` the
-  median of completed cells gets a speculative duplicate submission;
-  the first result wins and the loser is ignored;
+* **bounded retries** — a failed or timed-out cell is resubmitted at
+  once, up to ``policy.retries`` times (cells are deterministic, so
+  waiting before a retry buys nothing);
 * **grid deadline** — when ``policy.deadline`` expires, every
   unresolved cell degrades into a ``CellFailure(error_type="Timeout")``
   instead of hanging the caller;
@@ -34,8 +31,6 @@ it that way.  See docs/HARNESS.md for the model.
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
-import statistics
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -48,9 +43,11 @@ __all__ = [
     "PoolPolicy",
     "ProcessPool",
     "SerialPool",
-    "backoff_delay",
     "run_grid",
 ]
+
+#: scheduler poll interval, seconds
+POLL_S = 0.05
 
 #: exceptions that mean "the backend itself died", not "the cell failed"
 POOL_BREAK_ERRORS = (
@@ -68,11 +65,9 @@ class PoolPolicy:
 
     ``backend="auto"`` picks :class:`ProcessPool` when ``jobs > 1`` and
     more than one cell misses the cache, else :class:`SerialPool`;
-    ``"serial"``/``"process"`` force the choice.  ``timeout`` and the
-    straggler knobs only apply on process backends (a serial cell
-    cannot be interrupted); ``deadline`` and the retry budget apply
-    everywhere.  Backoff is deterministic in ``backoff_seed`` so a
-    chaos run is reproducible from its command line.
+    ``"serial"``/``"process"`` force the choice.  ``timeout`` only
+    applies on process backends (a serial cell cannot be interrupted);
+    ``deadline`` and the retry budget apply everywhere.
     """
 
     backend: str = "auto"
@@ -82,18 +77,6 @@ class PoolPolicy:
     deadline: Optional[float] = None
     #: bounded retry budget per cell (total attempts = retries + 1)
     retries: int = 1
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
-    backoff_seed: int = 0
-    #: speculate when a cell exceeds this multiple of the running median
-    straggler_factor: float = 4.0
-    #: ... but only once this many cells have completed
-    straggler_min_done: int = 3
-    #: ... and the cell has been running at least this long
-    straggler_min_runtime: float = 2.0
-    #: scheduler poll interval, seconds
-    tick: float = 0.05
 
     def __post_init__(self) -> None:
         if self.backend not in ("auto", "serial", "process"):
@@ -111,22 +94,6 @@ class PoolPolicy:
             raise ValueError(
                 f"retries must be >= 0 (got {self.retries!r}); "
                 "0 means a single attempt per cell")
-        if self.tick <= 0:
-            raise ValueError(f"tick must be positive (got {self.tick!r})")
-
-
-def backoff_delay(policy: PoolPolicy, cell: int, attempt: int) -> float:
-    """Seconds to wait before retrying ``cell`` after attempt ``attempt``.
-
-    Exponential in the attempt number, capped, and jittered by a factor
-    in ``[0.5, 1.5)`` derived from ``(backoff_seed, cell, attempt)`` —
-    fully deterministic, so chaos oracles can assert the exact schedule.
-    """
-    base = min(policy.backoff_cap,
-               policy.backoff_base * policy.backoff_factor ** max(0, attempt - 1))
-    token = f"{policy.backoff_seed}|{cell}|{attempt}".encode()
-    word = int.from_bytes(hashlib.sha256(token).digest()[:8], "big")
-    return base * (0.5 + word / 2 ** 64)
 
 
 class Pool:
@@ -159,9 +126,9 @@ class SerialPool(Pool):
     """In-process execution: ``submit`` runs the cell synchronously.
 
     The determinism reference every other backend is differentially
-    tested against.  Timeouts and speculation do not apply (a running
-    cell cannot be interrupted from the same thread); deadlines and the
-    retry budget do.
+    tested against.  Timeouts do not apply (a running cell cannot be
+    interrupted from the same thread); deadlines and the retry budget
+    do.
     """
 
     kind = "serial"
@@ -327,47 +294,33 @@ def _run_process_grid(items, fn, pool, policy, stats) -> list:
     n = len(items)
     results: dict[int, object] = {}
     attempts = dict.fromkeys(range(n), 0)
-    last_failure: dict[int, object] = {}
-    running: dict[Future, tuple[int, float, bool]] = {}
-    outstanding = dict.fromkeys(range(n), 0)   # live futures per cell
-    #: cells not yet submitted — in-flight work is throttled to the
+    running: dict[Future, tuple[int, float]] = {}
+    #: cells waiting for a worker — in-flight work is throttled to the
     #: worker count so a cell's timeout clock measures execution, not
     #: time spent queued behind other cells
-    pending: list[tuple[int, bool]] = [(i, False) for i in range(n)]
-    retry_at: dict[int, float] = {}
-    speculated: set[int] = set()
-    durations: list[float] = []
+    pending: list[int] = list(range(n))
     zombies = 0
     broken = False
     start = time.monotonic()
 
-    def submit(index: int, speculative: bool = False) -> None:
-        if not speculative:
-            attempts[index] += 1
-        fut = pool.submit(fn, items[index])
-        running[fut] = (index, time.monotonic(), speculative)
-        outstanding[index] += 1
+    def submit(index: int) -> None:
+        running[pool.submit(fn, items[index])] = (index, time.monotonic())
 
     def fill_slots() -> bool:
         while pending and len(running) < pool.workers:
-            index, speculative = pending.pop(0)
-            if index in results:
-                continue
+            index = pending.pop(0)
+            attempts[index] += 1
             try:
-                submit(index, speculative=speculative)
+                submit(index)
             except POOL_BREAK_ERRORS:
                 return True
         return False
 
     def attempt_failed(index: int, failure) -> None:
-        """One attempt is lost: spend a retry or finalize the cell."""
-        last_failure[index] = failure
-        if index in retry_at:
-            return                      # a retry is already scheduled
+        """One attempt is lost: resubmit the cell or finalize it."""
         if attempts[index] <= policy.retries:
             stats.retries += 1
-            retry_at[index] = time.monotonic() + backoff_delay(
-                policy, index, attempts[index])
+            pending.append(index)
         else:
             stats.quarantined += 1
             results[index] = _stamp_attempts(failure, attempts[index])
@@ -387,29 +340,14 @@ def _run_process_grid(items, fn, pool, policy, stats) -> list:
                 pool.mark_dirty()
                 break
 
-            for i, due in sorted(retry_at.items()):
-                if due <= now and i not in results:
-                    del retry_at[i]
-                    pending.append((i, False))
             broken = fill_slots()
-            if broken:
-                break
+            if broken or not running:
+                break           # not running: defensive, nothing to wait on
 
-            if not running:
-                if retry_at:
-                    time.sleep(max(0.0, min(
-                        policy.tick, min(retry_at.values()) - now)))
-                    continue
-                break                       # defensive: nothing left to wait on
-
-            done, _ = wait(list(running), timeout=policy.tick,
+            done, _ = wait(list(running), timeout=POLL_S,
                            return_when=FIRST_COMPLETED)
-            now = time.monotonic()
             for fut in done:
-                index, started, speculative = running.pop(fut)
-                outstanding[index] -= 1
-                if index in results:
-                    continue                # speculative loser or stale attempt
+                index, _started = running.pop(fut)
                 try:
                     err = fut.exception()
                 except concurrent.futures.CancelledError:
@@ -421,11 +359,7 @@ def _run_process_grid(items, fn, pool, policy, stats) -> list:
                 if getattr(result, "failed", False):
                     attempt_failed(index, result)
                 else:
-                    durations.append(now - started)
-                    if speculative:
-                        stats.speculative_wins += 1
                     results[index] = result
-                    retry_at.pop(index, None)
             if broken:
                 break
 
@@ -433,16 +367,11 @@ def _run_process_grid(items, fn, pool, policy, stats) -> list:
             if policy.timeout is not None:
                 overdue = [(fut, meta) for fut, meta in running.items()
                            if now - meta[1] > policy.timeout]
-                for fut, (index, _started, _spec) in overdue:
+                for fut, (index, _started) in overdue:
                     running.pop(fut)
-                    outstanding[index] -= 1
                     zombies += 1
                     pool.mark_dirty()
-                    if index in results:
-                        continue
                     stats.timeouts += 1
-                    if outstanding[index] > 0:
-                        continue            # a twin attempt is still alive
                     attempt_failed(index, _timeout_failure(
                         items[index], attempts[index],
                         f"cell exceeded the {policy.timeout:g}s "
@@ -450,37 +379,15 @@ def _run_process_grid(items, fn, pool, policy, stats) -> list:
                 if zombies >= pool.workers:
                     # every worker is wedged on an abandoned attempt:
                     # replace the backend and re-home the survivors
-                    survivors = list(running.values())
+                    survivors = [index for index, _started in running.values()]
                     running.clear()
                     try:
                         pool.respawn()
                         zombies = 0
-                        for index, _started, speculative in survivors:
-                            outstanding[index] -= 1
-                            if index not in results:
-                                attempts[index] -= 0 if speculative else 1
-                                submit(index, speculative=speculative)
+                        for index in survivors:
+                            submit(index)
                     except POOL_BREAK_ERRORS:
                         broken = True
-            if broken:
-                break
-
-            if policy.straggler_factor > 0 \
-                    and len(durations) >= policy.straggler_min_done:
-                threshold = max(
-                    policy.straggler_factor * statistics.median(durations),
-                    policy.straggler_min_runtime)
-                for _fut, (index, started, speculative) in list(running.items()):
-                    if speculative or index in results or index in speculated:
-                        continue
-                    if now - started > threshold:
-                        speculated.add(index)
-                        stats.stragglers += 1
-                        try:
-                            submit(index, speculative=True)
-                        except POOL_BREAK_ERRORS:
-                            broken = True
-                            break
     except KeyboardInterrupt:
         # Ctrl-C: keep completed cells, degrade the rest and let
         # the CLI exit 130 — never restart work the user aborted
@@ -512,8 +419,8 @@ def _run_process_grid(items, fn, pool, policy, stats) -> list:
             results[i] = result
 
     if running:
-        # abandoned attempts (speculative losers, late zombies) are
-        # still executing; a graceful close would block on them
+        # attempts abandoned by a deadline, break or Ctrl-C are still
+        # executing; a graceful close would block on them
         pool.mark_dirty()
 
     for i in range(n):                  # defensive: never return a hole

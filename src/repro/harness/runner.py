@@ -3,9 +3,11 @@
 Thin, workload-object-level wrappers over the unified experiment
 engine (:mod:`repro.harness.engine`), kept for callers that already
 hold a :class:`~repro.workloads.base.Workload` or a built
-:class:`~repro.workloads.base.WorkloadInstance`.  Grid consumers
-(tables, figures, sweeps, ``repro report``) build
-:class:`~repro.harness.engine.ExperimentSpec` lists and submit them to
+:class:`~repro.workloads.base.WorkloadInstance`.  Each call builds one
+:class:`~repro.harness.engine.ExperimentSpec` and runs it through
+``engine.execute``, so the machine is resolved in one place
+(``ExperimentSpec.resolve_config``).  Grid consumers (tables, figures,
+sweeps, ``repro report``) build spec lists and submit them to
 ``engine.execute_many`` instead.
 
 Tarantula configurations run the hand-vectorized program through the
@@ -18,54 +20,47 @@ mix them freely.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
-from repro.core.config import CONFIGURATIONS, MachineConfig
-from repro.harness.engine import (
-    RunOutcome,
-    _run_scalar_instance,
-    _run_vector_instance,
-)
+from repro.core.config import CONFIGURATIONS
+from repro.harness.engine import ExperimentSpec, RunOutcome, execute
 from repro.workloads.base import Workload, WorkloadInstance
 from repro.workloads.registry import get
 
 __all__ = ["RunOutcome", "run", "run_scalar", "run_tarantula", "speedup"]
 
 
-def _resolve(config) -> MachineConfig:
-    if isinstance(config, str):
-        return CONFIGURATIONS[config]()
-    return config
+def _execute(workload: Workload, config: str, scale: float,
+             instance: Optional[WorkloadInstance], **flags) -> RunOutcome:
+    """One :class:`ExperimentSpec` through :func:`execute`, on the
+    caller's instance or a fresh build (never the engine's memo)."""
+    inst = instance if instance is not None else workload.build(scale)
+    return execute(ExperimentSpec(workload.name, config, scale, **flags),
+                   _instance=inst)
 
 
-def run_tarantula(workload: Workload, config="T", scale: float = 1.0,
-                  check: bool = True,
+def run_tarantula(workload: Workload, config: str = "T",
+                  scale: float = 1.0, check: bool = True,
                   instance: Optional[WorkloadInstance] = None,
                   drain_dirty: bool = False) -> RunOutcome:
     """Run the vector program on a Tarantula timing simulator.
 
-    See :func:`repro.harness.engine._run_vector_instance` for the
-    ``drain_dirty`` semantics (Table 4's steady-state accounting).
+    ``drain_dirty`` flushes dirty L2 lines through the Zbox at the end
+    and counts the drain in bytes and cycles (Table 4's steady-state
+    accounting).
     """
-    cfg = _resolve(config)
-    inst = instance if instance is not None else workload.build(scale)
-    if inst.l2_bytes_hint is not None:
-        cfg = replace(cfg, l2_bytes=inst.l2_bytes_hint)
-    return _run_vector_instance(cfg, inst, check=check,
-                                drain_dirty=drain_dirty)
+    return _execute(workload, config, scale, instance, check=check,
+                    drain_dirty=drain_dirty)
 
 
-def run_scalar(workload: Workload, config="EV8",
+def run_scalar(workload: Workload, config: str = "EV8",
                scale: float = 1.0,
                instance: Optional[WorkloadInstance] = None) -> RunOutcome:
     """Run the scalar loop descriptor on the EV8/EV8+ analytic model."""
-    cfg = _resolve(config)
-    inst = instance if instance is not None else workload.build(scale)
-    return _run_scalar_instance(cfg, inst)
+    return _execute(workload, config, scale, instance)
 
 
-def run(workload_name: str, config="T", scale: float = 1.0,
+def run(workload_name: str, config: str = "T", scale: float = 1.0,
         **kw) -> RunOutcome:
     """Convenience: run a registered workload by name on any machine.
 
@@ -75,22 +70,19 @@ def run(workload_name: str, config="T", scale: float = 1.0,
     scalar machine) is an error, not a silent no-op.
     """
     workload = get(workload_name)
-    cfg = _resolve(config)
-    if cfg.has_vbox:
+    if CONFIGURATIONS[config]().has_vbox:
         allowed = {"check", "instance", "drain_dirty"}
-        target = "run_tarantula"
+        target = run_tarantula
     else:
         allowed = {"instance"}
-        target = "run_scalar"
+        target = run_scalar
     unknown = sorted(set(kw) - allowed)
     if unknown:
         raise TypeError(
-            f"run({workload_name!r}, config={cfg.name!r}): {target}() does "
-            f"not accept {', '.join(unknown)} (accepts: "
-            f"{', '.join(sorted(allowed))})")
-    if cfg.has_vbox:
-        return run_tarantula(workload, cfg, scale, **kw)
-    return run_scalar(workload, cfg, scale, **kw)
+            f"run({workload_name!r}, config={config!r}): "
+            f"{target.__name__}() does not accept {', '.join(unknown)} "
+            f"(accepts: {', '.join(sorted(allowed))})")
+    return target(workload, config, scale, **kw)
 
 
 def speedup(kernel: str, baseline: RunOutcome, contender: RunOutcome) -> float:

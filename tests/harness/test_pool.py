@@ -8,10 +8,10 @@ Covers the tentpole guarantees of ``repro.harness.pool``:
   timeout + one retry budget (wall-clock bounded, asserted);
 * the grid deadline degrades unfinished cells into
   ``CellFailure(error_type="Timeout")`` instead of hanging;
-* stragglers get speculative duplicates and the first result wins;
+* a slow cell runs exactly once — the scheduler never starts a second
+  copy of a cell that is still running;
 * a mid-grid pool break preserves completed results — each completed
-  cell ran exactly once, proven with run-count marker files;
-* seeded backoff is deterministic and exponential.
+  cell ran exactly once, proven with run-count marker files.
 
 Cell functions live at module level (picklable) and signal failure by
 *returning* a failed object, mirroring ``execute_captured``.
@@ -31,7 +31,6 @@ from repro.harness.pool import (
     PoolPolicy,
     ProcessPool,
     SerialPool,
-    backoff_delay,
     run_grid,
 )
 
@@ -43,7 +42,7 @@ class Cell:
     ``marker_dir`` (when set) gets one file appended per execution, so
     tests can count how often a cell actually ran; ``sleep_once`` makes
     only the *first* execution slow (the marker doubles as the memory),
-    modelling a transient hang that a retry or speculative twin beats.
+    modelling a transient hang that a retry beats.
     """
 
     name: str
@@ -98,7 +97,7 @@ def process_pool():
     pool.close()
 
 
-FAST = PoolPolicy(tick=0.02, backoff_base=0.01, backoff_cap=0.05)
+FAST = PoolPolicy()
 
 
 class TestBackends:
@@ -143,10 +142,6 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="deadline must be positive"):
             PoolPolicy(deadline=bad)
 
-    def test_rejects_nonpositive_tick(self):
-        with pytest.raises(ValueError, match="tick must be positive"):
-            PoolPolicy(tick=0)
-
     def test_messages_name_the_none_escape_hatch(self):
         with pytest.raises(ValueError, match="use None"):
             PoolPolicy(timeout=-3)
@@ -187,20 +182,20 @@ class TestRetries:
     def test_failure_consumes_budget_then_quarantines(self, process_pool):
         cells = [Cell("ok"), Cell("bad", fail=True)]
         out = run_grid(cells, run_cell, process_pool,
-                       PoolPolicy(**{**FAST.__dict__, "retries": 1}), STATS)
+                       PoolPolicy(retries=1), STATS)
         assert out[0].name == "ok"
         assert out[1].failed and out[1].attempts == 2
         assert STATS.retries == 1 and STATS.quarantined == 1
 
     def test_serial_retry_semantics_match(self):
         out = run_grid([Cell("bad", fail=True)], run_cell, SerialPool(),
-                       PoolPolicy(**{**FAST.__dict__, "retries": 1}), STATS)
+                       PoolPolicy(retries=1), STATS)
         assert out[0].failed and out[0].attempts == 2
         assert STATS.retries == 1 and STATS.quarantined == 1
 
     def test_zero_retries_quarantines_immediately(self):
         run_grid([Cell("bad", fail=True)], run_cell, SerialPool(),
-                 PoolPolicy(**{**FAST.__dict__, "retries": 0}), STATS)
+                 PoolPolicy(retries=0), STATS)
         assert STATS.retries == 0 and STATS.quarantined == 1
 
     def test_transient_failure_recovers(self, tmp_path, process_pool):
@@ -208,7 +203,7 @@ class TestRetries:
         cells = [Cell("flaky", marker_dir=str(tmp_path), fail=False,
                       sleep_once=True, sleep_s=0.0)]
         out = run_grid(cells, flaky_cell, process_pool,
-                       PoolPolicy(**{**FAST.__dict__, "retries": 2}), STATS)
+                       PoolPolicy(retries=2), STATS)
         assert not out[0].failed
         assert STATS.quarantined == 0
         assert STATS.retries >= 1
@@ -231,8 +226,7 @@ class TestTimeouts:
         """A hung cell cannot delay the grid past timeout + one retry."""
         timeout = 0.6
         cells = [Cell("hang", sleep_s=30.0), Cell("ok")]
-        policy = PoolPolicy(**{**FAST.__dict__, "timeout": timeout,
-                               "retries": 1})
+        policy = PoolPolicy(timeout=timeout, retries=1)
         t0 = time.monotonic()
         out = run_grid(cells, run_cell, process_pool, policy, STATS)
         elapsed = time.monotonic() - t0
@@ -240,7 +234,7 @@ class TestTimeouts:
         assert out[0].failed and out[0].error_type == "Timeout"
         assert out[0].attempts == 2
         assert STATS.timeouts >= 2 and STATS.quarantined == 1
-        # budget: 2 attempts x timeout, plus backoff + scheduler slack
+        # budget: 2 attempts x timeout, plus scheduler slack
         assert elapsed < 2 * timeout + 1.0
 
     def test_hang_once_cell_recovers_on_retry(self, tmp_path, process_pool):
@@ -248,8 +242,7 @@ class TestTimeouts:
         timeout = 0.6
         cells = [Cell("slowstart", sleep_s=30.0, sleep_once=True,
                       marker_dir=str(tmp_path))]
-        policy = PoolPolicy(**{**FAST.__dict__, "timeout": timeout,
-                               "retries": 1})
+        policy = PoolPolicy(timeout=timeout, retries=1)
         t0 = time.monotonic()
         out = run_grid(cells, run_cell, process_pool, policy, STATS)
         elapsed = time.monotonic() - t0
@@ -260,7 +253,7 @@ class TestTimeouts:
     def test_deadline_degrades_cells_process(self, process_pool):
         cells = [Cell("slow0", sleep_s=30.0), Cell("slow1", sleep_s=30.0),
                  Cell("slow2", sleep_s=30.0)]
-        policy = PoolPolicy(**{**FAST.__dict__, "deadline": 0.4})
+        policy = PoolPolicy(deadline=0.4)
         t0 = time.monotonic()
         out = run_grid(cells, run_cell, process_pool, policy, STATS)
         assert time.monotonic() - t0 < 5.0
@@ -269,30 +262,23 @@ class TestTimeouts:
 
     def test_deadline_degrades_cells_serial(self):
         cells = [Cell("slow", sleep_s=0.3), Cell("late0"), Cell("late1")]
-        policy = PoolPolicy(**{**FAST.__dict__, "deadline": 0.1})
+        policy = PoolPolicy(deadline=0.1)
         out = run_grid(cells, run_cell, SerialPool(), policy, STATS)
         assert not out[0].failed          # started before the deadline
         assert out[1].failed and out[1].error_type == "Timeout"
         assert out[2].failed and STATS.timeouts == 2
 
 
-class TestStragglers:
-    def test_straggler_gets_speculative_twin(self, tmp_path):
-        """First execution of one cell is slow; its twin wins."""
+class TestNoDuplicateWork:
+    def test_slow_cell_runs_exactly_once(self, tmp_path):
+        """A cell slower than all the others is not started twice."""
         pool = ProcessPool(3)
         try:
-            cells = [Cell("s0"), Cell("s1"), Cell("s2"),
-                     Cell("straggler", sleep_s=30.0, sleep_once=True,
-                          marker_dir=str(tmp_path))]
-            policy = PoolPolicy(
-                **{**FAST.__dict__, "straggler_factor": 2.0,
-                   "straggler_min_done": 3, "straggler_min_runtime": 0.3})
-            out = run_grid(cells, run_cell, pool, policy, STATS)
-            assert not any(r.failed for r in out)
-            assert out[3].name == "straggler"
-            assert STATS.stragglers == 1
-            assert STATS.speculative_wins == 1
-            assert STATS.quarantined == 0
+            cells = [Cell("c0"), Cell("c1"), Cell("c2"),
+                     Cell("slow", sleep_s=2.5, marker_dir=str(tmp_path))]
+            out = run_grid(cells, run_cell, pool, FAST, STATS)
+            assert [r.name for r in out] == ["c0", "c1", "c2", "slow"]
+            assert run_count(tmp_path, "slow") == 1
         finally:
             pool.close()
 
@@ -328,26 +314,6 @@ def die_cell(cell: Cell):
     if cell.name == "die" and first:
         os._exit(23)
     return Result(name=cell.name, pid=os.getpid())
-
-
-class TestBackoff:
-    def test_backoff_is_deterministic(self):
-        policy = PoolPolicy(backoff_seed=7)
-        assert backoff_delay(policy, 3, 1) == backoff_delay(policy, 3, 1)
-
-    def test_backoff_varies_with_seed_and_cell(self):
-        a = backoff_delay(PoolPolicy(backoff_seed=1), 0, 1)
-        b = backoff_delay(PoolPolicy(backoff_seed=2), 0, 1)
-        c = backoff_delay(PoolPolicy(backoff_seed=1), 1, 1)
-        assert len({a, b, c}) == 3
-
-    def test_backoff_grows_and_caps(self):
-        policy = PoolPolicy(backoff_base=0.1, backoff_factor=2.0,
-                            backoff_cap=0.5)
-        # jitter is in [0.5, 1.5), so bounds follow the uncapped base
-        assert 0.05 <= backoff_delay(policy, 0, 1) < 0.15
-        assert 0.1 <= backoff_delay(policy, 0, 2) < 0.3
-        assert backoff_delay(policy, 0, 10) < 0.75   # capped at 0.5 x 1.5
 
 
 class TestEngineIntegration:
