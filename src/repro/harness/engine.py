@@ -28,6 +28,7 @@ import pickle
 import time
 import traceback
 import warnings
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -408,15 +409,31 @@ def execute_captured(spec: ExperimentSpec,
 # -- content-addressed result cache ----------------------------------------
 
 
+#: per-process memo of :func:`_digest_program`, keyed by the
+#: :class:`~repro.isa.program.Program` object itself
+_PROGRAM_DIGESTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def _digest_program(program) -> str:
-    """Content digest of an assembled program (operands, masks, order)."""
-    h = hashlib.sha256()
-    h.update(program.name.encode())
-    for instr in program:
-        h.update(repr((instr.op, instr.vd, instr.va, instr.vb, instr.rd,
-                       instr.ra, instr.rb, instr.imm, instr.disp,
-                       instr.masked)).encode())
-    return h.hexdigest()
+    """Content digest of an assembled program (operands, masks, order).
+
+    Computed once per program object for the life of the process:
+    programs are immutable after build (the instance memo and the JIT's
+    trace cache rely on that too), and a report grid shares each built
+    program across every machine config.  The memo is keyed by object
+    identity, so a rebuilt program is hashed afresh — the digest stays
+    content-addressed — and it dies with the program.
+    """
+    digest = _PROGRAM_DIGESTS.get(program)
+    if digest is None:
+        h = hashlib.sha256()
+        h.update(program.name.encode())
+        for instr in program:
+            h.update(repr((instr.op, instr.vd, instr.va, instr.vb, instr.rd,
+                           instr.ra, instr.rb, instr.imm, instr.disp,
+                           instr.masked)).encode())
+        digest = _PROGRAM_DIGESTS[program] = h.hexdigest()
+    return digest
 
 
 def _digest_scalar_loop(loop) -> str:
@@ -458,6 +475,11 @@ def spec_digest(spec: ExperimentSpec,
     pins these values for the original Table 2 suite: a change there
     means cached results were silently invalidated (or worse, that the
     workloads themselves changed).
+
+    The program part comes from :func:`_digest_program`'s per-program
+    memo, so a grid that runs one built program on many machines hashes
+    its instructions once; the config, flags and descriptor are
+    digested on every call.
     """
     if instance is None:
         instance = _build_instance(spec)
@@ -496,7 +518,9 @@ class ResultCache:
     """Content-addressed on-disk store of :class:`RunOutcome` pickles.
 
     Layout: ``<root>/<key[:2]>/<key>.pkl``.  A file that fails to
-    unpickle is quarantined to ``<key>.corrupt`` (counted in
+    unpickle, whatever ``pickle.load`` raises on its damaged bytes, or
+    that holds something other than a :class:`RunOutcome`, is
+    quarantined to ``<key>.corrupt`` (counted in
     ``corrupt``) so the slot can be re-stored — a truncated pickle must
     not shadow its key forever.  ``hits``/``misses``/``stores`` track
     this cache object's traffic so ``repro report`` can prove a warm
@@ -540,19 +564,18 @@ class ResultCache:
         try:
             with open(path, "rb") as handle:
                 outcome = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+        except Exception as err:  # noqa: BLE001 - damaged bytes raise anything
             self.misses += 1
-            self._quarantine(path)
+            self._quarantine(path, f"{type(err).__name__}: {err}")
             return None
         if not isinstance(outcome, RunOutcome):
             self.misses += 1
-            self._quarantine(path)
+            self._quarantine(path, f"holds a {type(outcome).__name__}")
             return None
         self.hits += 1
         return outcome
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: Path, why: str) -> None:
         """Move an unreadable entry aside; a plain miss (no file) is not
         corruption and FileNotFoundError is an OSError, hence the probe."""
         if not path.exists():
@@ -562,7 +585,7 @@ class ResultCache:
         except OSError:
             return
         self.corrupt += 1
-        warnings.warn(f"quarantined corrupt cache entry {path.name}",
+        warnings.warn(f"quarantined corrupt cache entry {path.name} ({why})",
                       RuntimeWarning, stacklevel=3)
 
     def put(self, key: str, outcome: RunOutcome) -> None:

@@ -17,7 +17,8 @@ scheduler, :func:`run_grid`, that owns the fault budget:
   instead of hanging the caller;
 * **preserve-on-break** — when the process pool breaks mid-grid
   (killed worker, broken pipe), completed results are kept and only the
-  unfinished cells fall back to serial execution.
+  unfinished cells fall back to serial execution, under what is left of
+  the deadline; a break seen after the deadline times them out.
 
 Backends: :class:`SerialPool` (in-process, the determinism reference)
 and :class:`ProcessPool` (``concurrent.futures`` worker processes).
@@ -325,18 +326,22 @@ def _run_process_grid(items, fn, pool, policy, stats) -> list:
             stats.quarantined += 1
             results[index] = _stamp_attempts(failure, attempts[index])
 
+    def expire_unfinished() -> None:
+        """The grid deadline passed: every unresolved cell times out."""
+        for i in range(n):
+            if i not in results:
+                stats.timeouts += 1
+                results[i] = _timeout_failure(
+                    items[i], attempts[i],
+                    f"grid deadline of {policy.deadline:g}s exceeded")
+
     interrupted = False
     try:
         while not broken and len(results) < n:
             now = time.monotonic()
 
             if policy.deadline is not None and now - start > policy.deadline:
-                for i in range(n):
-                    if i not in results:
-                        stats.timeouts += 1
-                        results[i] = _timeout_failure(
-                            items[i], attempts[i],
-                            f"grid deadline of {policy.deadline:g}s exceeded")
+                expire_unfinished()
                 pool.mark_dirty()
                 break
 
@@ -405,18 +410,27 @@ def _run_process_grid(items, fn, pool, policy, stats) -> list:
         preserved = len(results)
         stats.preserved_on_break += preserved
         remaining = [i for i in range(n) if i not in results]
-        warnings.warn(
-            f"process pool broke mid-grid; keeping {preserved} completed "
-            f"cell(s) and re-running {len(remaining)} unfinished cell(s) "
-            "serially", RuntimeWarning, stacklevel=3)
         left = None
         if policy.deadline is not None:
-            left = max(0.0, policy.deadline - (time.monotonic() - start))
-        serial = _run_serial_grid(
-            [items[i] for i in remaining], fn, SerialPool(),
-            replace(policy, deadline=left), stats)
-        for i, result in zip(remaining, serial):
-            results[i] = result
+            left = policy.deadline - (time.monotonic() - start)
+        if left is not None and left <= 0:
+            # the break surfaced after the deadline: nothing may re-run
+            warnings.warn(
+                "process pool broke mid-grid after the grid deadline; "
+                f"keeping {preserved} completed cell(s) and timing out "
+                f"{len(remaining)} unfinished cell(s)",
+                RuntimeWarning, stacklevel=3)
+            expire_unfinished()
+        else:
+            warnings.warn(
+                f"process pool broke mid-grid; keeping {preserved} "
+                f"completed cell(s) and re-running {len(remaining)} "
+                "unfinished cell(s) serially", RuntimeWarning, stacklevel=3)
+            serial = _run_serial_grid(
+                [items[i] for i in remaining], fn, SerialPool(),
+                replace(policy, deadline=left), stats)
+            for i, result in zip(remaining, serial):
+                results[i] = result
 
     if running:
         # attempts abandoned by a deadline, break or Ctrl-C are still

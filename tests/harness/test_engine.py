@@ -185,6 +185,24 @@ class TestResultCache:
         assert engine._digest_program(program(64)) == \
             engine._digest_program(program(64))
 
+    def test_shared_program_is_digested_once(self, monkeypatch):
+        from repro.isa.program import Program
+
+        inst = get("streams.copy").build(SCALE)
+        walks = []
+        walk = Program.__iter__
+
+        def counting_walk(program):
+            if program is inst.program:
+                walks.append(program)
+            return walk(program)
+
+        monkeypatch.setattr(Program, "__iter__", counting_walk)
+        keys = {cache_key(ExperimentSpec("streams.copy", c, SCALE), inst)
+                for c in ("T", "T4", "T-nopump")}
+        assert len(walks) == 1
+        assert len(keys) == 3
+
     def test_code_version_salts_key(self, monkeypatch):
         base = cache_key(self.SPEC)
         monkeypatch.setattr(engine, "_code_version_cache", "deadbeef")
@@ -205,6 +223,19 @@ class TestResultCache:
         out, = execute_many([self.SPEC], cache=cache)
         assert out.cycles > 0
         assert cache.get(key) is not None
+
+    def test_unsupported_protocol_entry_is_quarantined(self, tmp_path):
+        # pickle.load raises ValueError here, not UnpicklingError
+        cache = ResultCache(tmp_path)
+        key = "f" * 64
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"\x80\x09")
+        with pytest.warns(RuntimeWarning,
+                          match="quarantined corrupt .*ValueError"):
+            assert cache.get(key) is None
+        assert path.with_suffix(".corrupt").exists()
+        assert cache.corrupt == 1
 
 
 class TestRunnerKwargValidation:

@@ -11,7 +11,9 @@ Covers the tentpole guarantees of ``repro.harness.pool``:
 * a slow cell runs exactly once — the scheduler never starts a second
   copy of a cell that is still running;
 * a mid-grid pool break preserves completed results — each completed
-  cell ran exactly once, proven with run-count marker files.
+  cell ran exactly once, proven with run-count marker files — and a
+  break seen after the grid deadline times the unfinished cells out
+  instead of re-running them.
 
 Cell functions live at module level (picklable) and signal failure by
 *returning* a failed object, mirroring ``execute_captured``.
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +32,7 @@ import pytest
 
 from repro.harness.engine import STATS, CellFailure, ExperimentSpec
 from repro.harness.pool import (
+    Pool,
     PoolPolicy,
     ProcessPool,
     SerialPool,
@@ -303,6 +308,31 @@ class TestPoolBreak:
             assert run_count(tmp_path, "die") == 2
         finally:
             pool.close()
+
+    def test_break_after_deadline_degrades_cells(self, tmp_path):
+        """A break seen once the deadline has passed re-runs nothing."""
+        cells = [Cell("c0", marker_dir=str(tmp_path)),
+                 Cell("c1", marker_dir=str(tmp_path))]
+        with pytest.warns(RuntimeWarning, match="after the grid deadline"):
+            out = run_grid(cells, run_cell, LateBreakPool(),
+                           PoolPolicy(deadline=0.1), STATS)
+        assert [r.error_type for r in out] == ["Timeout", "Timeout"]
+        assert "grid deadline of 0.1s exceeded" in out[0].message
+        assert STATS.timeouts == 2
+        assert run_count(tmp_path, "c0") == run_count(tmp_path, "c1") == 0
+
+
+class LateBreakPool(Pool):
+    """A backend that takes 0.2 s to accept a cell and has died by then:
+    every future fails with ``BrokenProcessPool`` and no cell runs."""
+
+    kind = "process"
+
+    def submit(self, fn, *args) -> Future:
+        time.sleep(0.2)
+        fut: Future = Future()
+        fut.set_exception(BrokenProcessPool("worker died"))
+        return fut
 
 
 def die_cell(cell: Cell):
