@@ -41,7 +41,6 @@ from repro.vbox.address_gen import AddressGenerators
 from repro.vbox.crbox import ConflictResolutionBox
 from repro.vbox.issue import VboxIssue
 from repro.vbox.rename import RenameAllocator
-from repro.vbox.vcu import CompletionUnit
 from repro.vbox.vtlb import VectorTLB
 
 #: one-way scalar-operand transfer time across the core<->Vbox interface
@@ -145,7 +144,6 @@ class TarantulaProcessor:
             self.vtlb, ConflictResolutionBox(cfg.crbox_cycles_per_round),
             pump_enabled=cfg.pump_enabled)
         self.vbox = VboxIssue()
-        self.vcu = CompletionUnit()
         self.rename = RenameAllocator(
             physical=32 + cfg.vbox_rename_registers, architectural=32)
         self.counters = Counter()
@@ -252,7 +250,6 @@ class TarantulaProcessor:
         start, done = self.vbox.issue_arithmetic(t0, vl, d.timing)
         for reg in writes:
             self._vreg_ready[reg] = done
-        self.vcu.complete(done)
         return done
 
     def _time_control(self, instr: Instruction, t0: float) -> float:
@@ -278,27 +275,25 @@ class TarantulaProcessor:
                 t0, self.functional.state.ctrl.vl, TimingClass.INT)
             for reg in instr.vreg_writes():
                 self._vreg_ready[reg] = done
-        self.vcu.complete(done)
         return done
 
     def _memory_order(self, touched: tuple, earliest: float,
-                      slices=None) -> float:
-        """Delay an access behind in-flight stores to the same quadwords."""
+                      lines: list) -> float:
+        """Delay an access behind in-flight stores to the same quadwords.
+
+        ``lines`` are the access's distinct cache lines (its plan's
+        line view).
+        """
         last = self._last_store
         if not last or earliest >= self._store_watermark:
             # no store still completes after `earliest`, so nothing in
             # the map can push this access later — skip the per-address
             # walk entirely (the common case once stores drain)
             return earliest
-        if slices is not None:
-            # line-granularity prefilter: quadword aliasing implies line
-            # aliasing, and the line sweep is ~8x shorter
-            lines = self._store_lines
-            for s in slices:
-                if not lines.isdisjoint(s.line_addresses()):
-                    break
-            else:
-                return earliest
+        # line-granularity prefilter: quadword aliasing implies line
+        # aliasing, and the line sweep is ~8x shorter
+        if self._store_lines.isdisjoint(lines):
+            return earliest
         hit = last.keys() & touched
         if not hit:
             return earliest
@@ -315,14 +310,9 @@ class TarantulaProcessor:
         return bound
 
     def _record_store(self, touched: tuple, completion: float,
-                      slices=None) -> None:
+                      lines: list) -> None:
         self._last_store.update(dict.fromkeys(touched, completion))
-        if slices is not None:
-            lines = self._store_lines
-            for s in slices:
-                lines.update(s.line_addresses())
-        else:
-            self._store_lines.update(a & ~0x3F for a in touched)
+        self._store_lines.update(lines)
         if completion > self._store_watermark:
             self._store_watermark = completion
         # prune entries that completed far in the past: anything that old
@@ -343,21 +333,14 @@ class TarantulaProcessor:
         plan = self.addr_gens.plan(instr, self.functional.state)
         if plan.kind == "empty":
             return t0 + 1.0
-        t0 = self._memory_order(plan.touched, t0, plan.slices)
+        t0 = self._memory_order(plan.touched, t0, plan.lines)
         gen_time = plan.addr_gen_cycles + plan.tlb_penalty
         gen_start = self.vbox.addr_gen.reserve(t0, gen_time)
         self.counters.add(_MEM_COUNTER[plan.kind])
         if not plan.slices:
             return gen_start + gen_time
-        per_slice = gen_time / len(plan.slices)
-        completion = gen_start
-        for i, s in enumerate(plan.slices):
-            t_slice = gen_start + (i + 1) * per_slice
-            done = self.l2.access_slice(
-                s.line_addresses(), s.quadwords, plan.is_write, t_slice,
-                pump_bit=s.pump, full_line_write=s.full_line_write,
-                canonical=True)
-            completion = max(completion, done)
+        completion = self.l2.access_plan(plan, gen_start,
+                                         gen_time / len(plan.slices))
         if plan.is_write and instr.va is not None and instr.va != 31:
             # the store retires once its data has streamed out of the
             # register file (ceil(qw/32) cycles after the data is ready)
@@ -365,16 +348,13 @@ class TarantulaProcessor:
             completion = max(completion,
                              data_ready + max(1.0, plan.quadwords / 32.0))
         if plan.is_write:
-            self._record_store(plan.touched, completion, plan.slices)
+            self._record_store(plan.touched, completion, plan.lines)
         if plan.is_prefetch:
             # prefetches retire as soon as addresses are generated; the
             # fills proceed in the background
-            done = gen_start + gen_time
-            self.vcu.complete(done)
-            return done
+            return gen_start + gen_time
         if not plan.is_write and instr.vd is not None and instr.vd != 31:
             self._vreg_ready[instr.vd] = completion
-        self.vcu.complete(completion)
         return completion
 
     def _time_scalar(self, instr: Instruction, t0: float) -> float:

@@ -291,6 +291,12 @@ class SetAssocCache:
         n = len(addrs)
         if n == 0:
             return [], []
+        # all-hit fast path (the steady state of a warmed cache): stamps
+        # ascend in input order exactly as the general walk assigns
+        # them, dirty bits are ORed in bulk, and nothing else changes on
+        # a hit
+        if not from_core and self.access_all_hit(addrs, is_write):
+            return [True] * n, [None] * n
         pos = self._pos
         tags, dirty = self._flat_tags, self._flat_dirty
         pbit, stamps = self._flat_pbit, self._flat_stamp
@@ -299,22 +305,6 @@ class SetAssocCache:
         ways, set_mask = self.ways, self._set_mask
         set_bits, line_shift = self._set_bits, self._line_shift
         stamp = self._clock
-        if not from_core:
-            # all-hit fast path (the steady state of a warmed cache):
-            # stamps ascend in input order exactly as the general walk
-            # assigns them, dirty bits are ORed in bulk, and nothing
-            # else changes on a hit
-            try:
-                slots = [pos[addr >> line_shift] for addr in addrs]
-            except KeyError:
-                pass
-            else:
-                stamps[slots] = np.arange(stamp, stamp + n)
-                if is_write:
-                    dirty[slots] = True
-                self._clock = stamp + n
-                self.counters.add("hits", n)
-                return [True] * n, [None] * n
         hit_list = [False] * n
         evictions: list[Optional[Eviction]] = [None] * n
         hits = evicted_n = writebacks = 0
@@ -378,7 +368,9 @@ class SetAssocCache:
                 counters.add("writebacks", writebacks)
         return hit_list, evictions
 
-    def access_all_hit(self, addrs, is_write: bool = False) -> bool:
+    def access_all_hit(self, addrs, is_write: bool = False,
+                       last_ref: Optional[np.ndarray] = None,
+                       n_refs: int = 0) -> bool:
         """Apply :meth:`access_many`'s all-hit fast path, or do nothing.
 
         Returns True when every line was resident and the access was
@@ -386,19 +378,32 @@ class SetAssocCache:
         walk would); False leaves all state untouched so the caller can
         fall back to the general path.  Never sets P-bits (vector side
         only, ``from_core=False``).
+
+        By default each of ``addrs`` is referenced once, in order.  A
+        stream that references some lines several times (a vector
+        plan's slices) passes its distinct lines as ``addrs``, its
+        length as ``n_refs`` and, in ``last_ref[i]``, the position of
+        the last reference to ``addrs[i]``: each line then gets the
+        stamp the sequential walk leaves on it, and the clock advances
+        by ``n_refs``.
         """
         pos, shift = self._pos, self._line_shift
         try:
             slots = [pos[addr >> shift] for addr in addrs]
         except KeyError:
             return False
-        n = len(slots)
         stamp = self._clock
-        self._flat_stamp[slots] = np.arange(stamp, stamp + n)
+        if last_ref is None:
+            n_refs = len(slots)
+            self._flat_stamp[slots] = np.arange(stamp, stamp + n_refs)
+        else:
+            # distinct lines, so no slot is assigned twice (numpy leaves
+            # the winner of a repeated fancy-index store unspecified)
+            self._flat_stamp[slots] = last_ref + stamp
         if is_write:
             self._flat_dirty[slots] = True
-        self._clock = stamp + n
-        self.counters.add("hits", n)
+        self._clock = stamp + n_refs
+        self.counters.add("hits", n_refs)
         return True
 
     # -- batched peeks (no LRU / counter effects) -----------------------------

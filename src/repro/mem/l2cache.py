@@ -4,6 +4,8 @@ The Vbox talks to the L2 in *slices* — groups of up to 16 addresses that
 are bank-conflict-free, so the 16 banks can cycle in parallel and return
 one quadword each per cycle.  Stride-1 slices set the "pump" bit and
 move whole cache lines through the PUMP streaming registers instead.
+A vector instruction hands over all of its (at most 8) slices in one
+call, :meth:`BankedL2.access_plan`.
 
 This model tracks real tag state (so hit ratios, evictions, writebacks
 and P-bit traffic are all emergent), and schedules time with resource
@@ -231,6 +233,11 @@ class BankedL2:
         list of distinct line-aligned addresses (what
         :meth:`~repro.vbox.slices.Slice.line_addresses` returns) and
         skips re-canonicalizing it.
+
+        This is the general walk: misses, miss merges into in-flight
+        fills, P-bit invalidates and MAF retries all happen here.  A
+        vector instruction reaches it through :meth:`access_plan`,
+        whose fallback calls it once per slice.
         """
         if canonical:
             lines = line_addrs
@@ -301,6 +308,75 @@ class BankedL2:
         if pump_bit and self.pump.enabled:
             return self.pump.stream(quadwords, is_write, t_data)
         return t_data
+
+    def access_plan(self, plan, gen_start: float, per_slice: float) -> float:
+        """Time one vector memory instruction's slices; returns the
+        latest data-delivered time (``gen_start`` if that is later).
+
+        ``plan`` is a :class:`~repro.vbox.address_gen.AccessPlan`.  Its
+        slice ``k`` issues at ``gen_start + (k + 1) * per_slice``.
+
+        The *plan path* times every slice with one tag probe over the
+        plan's line view.  It runs only when all of these hold at the
+        first slice's issue time ``gen_start + per_slice``:
+
+        * the tag model has the all-hit probe;
+        * the plan touches a line, and no slice more than ``n_banks``;
+        * no plan line has its P-bit set;
+        * no plan line has a fill arriving after that time;
+        * every plan line is resident.
+
+        While every slice hits, no slice changes residency, P-bits or
+        fill times, so checks made once at plan start hold for every
+        slice, and the per-slice walk would take its hit path on each.
+        The probe leaves each line the LRU stamp that walk leaves, and
+        the counters grow by the same totals.  Port and PUMP
+        reservations never read tag state; they are still made one
+        slice at a time, in slice order, with the walk's arithmetic.
+
+        Otherwise (a miss, a merge into an in-flight fill, a P-bit, an
+        over-wide slice) the checks have changed nothing, and the
+        per-slice walk (:meth:`access_slice`) runs from slice 0.  Cycles
+        and counters are bit-identical either way.
+        """
+        slices = plan.slices
+        lines = plan.lines
+        is_write = plan.is_write
+        first = gen_start + per_slice
+        probe = self._tags_all_hit
+        if (probe is not None and 0 < plan.widest <= self.config.n_banks
+                and not self.tags.pbit_lines(lines)
+                and self._pending_fills(lines, first) <= first
+                and probe(lines, is_write, plan.last_ref, plan.n_refs)):
+            reserve = self.slice_port.reserve
+            hit_latency = self.config.hit_latency
+            pump = self.pump if self.pump.enabled else None
+            completion = gen_start
+            n_pump = 0
+            for k, s in enumerate(slices):
+                t_data = reserve(gen_start + (k + 1) * per_slice, 1.0) + \
+                    hit_latency
+                if s.pump:
+                    n_pump += 1
+                    if pump is not None:
+                        t_data = pump.stream(s.quadwords, is_write, t_data)
+                if t_data > completion:
+                    completion = t_data
+            counters = self.counters
+            counters.add("slices", len(slices))
+            if n_pump:
+                counters.add("pump_slices", n_pump)
+            counters.add("line_hits", plan.n_refs)
+            return completion
+        completion = gen_start
+        for k, s in enumerate(slices):
+            done = self.access_slice(
+                plan.slice_lines(k), s.quadwords, is_write,
+                gen_start + (k + 1) * per_slice, pump_bit=s.pump,
+                full_line_write=s.full_line_write, canonical=True)
+            if done > completion:
+                completion = done
+        return completion
 
     # -- the scalar (EV8 core) path ------------------------------------------------
 

@@ -49,7 +49,23 @@ _PLAN_CACHE_MAX = 8192
 
 @dataclass
 class AccessPlan:
-    """Everything the memory pipeline needs to time one instruction."""
+    """Everything the memory pipeline needs to time one instruction.
+
+    Besides its slices, a plan carries a *line view* of them, computed
+    once when the plan is built (:func:`_line_view`): the distinct line
+    addresses in first-reference order (``lines``), the position of
+    each one's last reference in slice order (``last_ref``), the total
+    number of line references (``n_refs``) and the widest slice's line
+    count (``widest``).  The L2 times a whole instruction from it
+    (:meth:`~repro.mem.l2cache.BankedL2.access_plan`).
+
+    A plan replayed from the plan cache shares the cached template's
+    ``slices``, which hold the addresses of the base the template was
+    built at; ``delta`` is the byte offset from those to this plan's
+    addresses.  ``touched`` and ``lines`` are already rebased.  Read a
+    slice's lines through :meth:`slice_lines`, which adds ``delta``;
+    the L2's per-slice fallback walk is its only caller.
+    """
 
     kind: str                      # 'pump' | 'reordered' | 'cr' | 'empty'
     is_write: bool
@@ -63,6 +79,39 @@ class AccessPlan:
     quadwords: int = 0
     #: physical quadword addresses touched (for memory-dependence checks)
     touched: tuple = ()
+    #: distinct line addresses over all slices, first-reference order
+    lines: list[int] = field(default_factory=list)
+    #: int64 position of each line's last reference, in slice order
+    last_ref: np.ndarray | None = None
+    #: line references over all slices (each slice's distinct lines)
+    n_refs: int = 0
+    #: distinct lines of the widest slice
+    widest: int = 0
+    #: bytes to add to the addresses ``slices`` hold (nonzero on replay)
+    delta: int = 0
+
+    def slice_lines(self, k: int) -> list[int]:
+        """Slice ``k``'s distinct line addresses at this plan's base."""
+        lines = self.slices[k].line_addresses()
+        if self.delta:
+            return [line + self.delta for line in lines]
+        return lines
+
+
+def _line_view(slices: list[Slice]) -> tuple[list[int], np.ndarray, int, int]:
+    """``(lines, last_ref, n_refs, widest)`` of :class:`AccessPlan`."""
+    last: dict[int, int] = {}
+    n_refs = widest = 0
+    for s in slices:
+        lines = s.line_addresses()
+        if len(lines) > widest:
+            widest = len(lines)
+        for line in lines:
+            # re-assigning a key keeps its first-insertion position
+            last[line] = n_refs
+            n_refs += 1
+    last_ref = np.fromiter(last.values(), dtype=np.int64, count=len(last))
+    return list(last), last_ref, n_refs, widest
 
 
 @dataclass
@@ -88,7 +137,10 @@ class _CachedPlan:
     touched: np.ndarray             # uint64 copy of plan.touched
     touched_tuple: tuple            # the original tuple (delta == 0 reuse)
     slices: list                    # template Slice objects at `base`
-    slice_lines: list               # template line_addresses() per slice
+    lines: list                     # the line view at `base` ...
+    last_ref: np.ndarray            # ... and its base-independent parts
+    n_refs: int
+    widest: int
 
 
 class AddressGenerators:
@@ -222,6 +274,11 @@ class AddressGenerators:
         built under: every page the rebased access touches must still be
         identity-mapped and resident in every lane.  Anything else (TLB
         shootdown, page-table holes) falls back to the build path.
+
+        Only ``touched`` and the line view's ``lines`` depend on the
+        base, so a replay rebases those two and builds no slices: the
+        plan shares the entry's template slices and records the byte
+        ``delta`` from them (see :class:`AccessPlan`).
         """
         hot = self.vtlb._hot_identity_vpns
         if not hot:
@@ -247,29 +304,17 @@ class AddressGenerators:
         self.counters.add(_KIND_COUNTER[entry.kind])
         self.vtlb.counters.add("hits", entry.n_valid)
         if delta == 0:
-            slices = entry.slices
             touched = entry.touched_tuple
+            lines = entry.lines
         else:
-            du = np.uint64(delta & _M64)
-            slices = []
-            for tmpl, lines in zip(entry.slices, entry.slice_lines):
-                # bypass the dataclass ctor: the template was validated
-                # when built, and rebasing only shifts the addresses
-                s = object.__new__(Slice)
-                s.slice_id = tmpl.slice_id
-                s.elements = tmpl.elements
-                s.addresses = tmpl.addresses + du
-                s.pump = tmpl.pump
-                s.full_line_write = tmpl.full_line_write
-                s.quadwords = tmpl.quadwords
-                s.tag = tmpl.tag
-                s._line_addrs = [line + delta for line in lines]
-                slices.append(s)
             touched = tuple(touched_arr.tolist())
+            lines = [line + delta for line in entry.lines]
         return AccessPlan(entry.kind, entry.is_write, entry.is_prefetch,
-                          slices, addr_gen_cycles=entry.addr_gen_cycles,
+                          entry.slices, addr_gen_cycles=entry.addr_gen_cycles,
                           tlb_penalty=0.0, quadwords=entry.quadwords,
-                          touched=touched)
+                          touched=touched, lines=lines,
+                          last_ref=entry.last_ref, n_refs=entry.n_refs,
+                          widest=entry.widest, delta=delta)
 
     def _store_plan(self, key: tuple, plan: AccessPlan, base: int,
                     n_valid: int) -> None:
@@ -281,7 +326,8 @@ class AddressGenerators:
             plan.kind, plan.is_write, plan.is_prefetch, base, n_valid,
             plan.addr_gen_cycles, plan.quadwords,
             np.array(plan.touched, dtype=np.uint64), plan.touched,
-            list(plan.slices), [s.line_addresses() for s in plan.slices])
+            list(plan.slices), plan.lines, plan.last_ref, plan.n_refs,
+            plan.widest)
 
     # -- entry point ------------------------------------------------------------
 
@@ -346,6 +392,8 @@ class AddressGenerators:
                                  tlb_penalty, tag)
         plan.is_prefetch = instr.is_prefetch
         plan.touched = tuple(paddrs[valid].tolist())
+        plan.lines, plan.last_ref, plan.n_refs, plan.widest = \
+            _line_view(plan.slices)
         if key is not None and plan.kind in _KIND_COUNTER \
                 and plan.tlb_penalty == 0.0 and self.vtlb.last_fast_path:
             self._store_plan(key, plan, base, len(valid))

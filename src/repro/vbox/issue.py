@@ -6,9 +6,8 @@ one of the two ports, the sixteen associated functional units work
 fully synchronously on the instruction.  Thus, the port is marked busy
 for ceil(vl/16) cycles (typically, 8 cycles)."
 
-The memory side has its own pipes: one load stream and one store stream
-(peak 32+32 ld/st element slots per cycle, Table 3), fed by the address
-generators.
+Memory instructions do not use the ports: they reserve the address
+generators here, then the L2 slice port (:mod:`repro.mem.l2cache`).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.isa.instructions import TimingClass
 from repro.utils.bitops import ceil_div
-from repro.utils.stats import Counter
 from repro.utils.timeline import CalendarTimeline, ResourceTimeline
 from repro.vbox.lanes import N_LANES
 
@@ -40,18 +38,15 @@ class FunctionalUnitLatencies:
 
 
 class VboxIssue:
-    """North/south issue ports + load/store memory pipes."""
+    """North/south issue ports + the address-generator timeline."""
 
     def __init__(self, latencies: FunctionalUnitLatencies | None = None) -> None:
         self.latencies = latencies or FunctionalUnitLatencies()
         self.north = ResourceTimeline("north-port")
         self.south = ResourceTimeline("south-port")
-        self.load_pipe = ResourceTimeline("load-pipe")
-        self.store_pipe = ResourceTimeline("store-pipe")
         # a gather stalled on its index register must not block younger
         # independent accesses from using the (out-of-order) generators
         self.addr_gen = CalendarTimeline("address-generators")
-        self.counters = Counter()
 
     def occupancy(self, vl: int, timing: TimingClass) -> float:
         """Port-busy cycles for an arithmetic instruction of length vl."""
@@ -95,5 +90,4 @@ class VboxIssue:
         else:
             port = self.north if t_north < t_south else self.south
         start = port.reserve(earliest, busy)
-        self.counters.add(f"issue_{port.name}")
         return start, start + busy + self.latency(timing)

@@ -108,21 +108,39 @@ class TestPlanCache:
         assert ag.counters["plan_cache_invalidations"] == 1
 
     def test_cached_plan_is_cycle_identical(self):
-        """A rebased/hit plan prices identically to a fresh build."""
-        cached = AddressGenerators()
-        fresh = AddressGenerators()
-        instr = _load()
-        state = _state()
-        _warm(cached, instr, state)
-        _warm(fresh, instr, state)      # TLB hot in both generators
-        for base in (0x10000, 0x10000 + BANK_PERIOD, 0x10000 + 3 * BANK_PERIOD):
-            state.sregs.write(1, base)
-            a = cached.plan(instr, state)
-            fresh.invalidate_plans()
-            b = fresh.plan(instr, state)
-            assert a.kind == b.kind
-            assert a.addr_gen_cycles == b.addr_gen_cycles
-            assert a.tlb_penalty == b.tlb_penalty == 0.0
-            assert a.quadwords == b.quadwords
-            assert np.array_equal(np.asarray(a.touched), np.asarray(b.touched))
-        assert cached.counters["plan_cache_hits"] >= 2
+        """A rebased/hit plan prices identically to a fresh build.
+
+        Runs with the pump on and off (a loop rather than a parametrize,
+        so the test keeps its id).  Without the pump, a stride-1 plan is
+        reordered: its 8 slices share 16 lines, so the line view's last
+        references differ from its first ones.
+        """
+        for pump_enabled in (True, False):
+            cached = AddressGenerators(pump_enabled=pump_enabled)
+            fresh = AddressGenerators(pump_enabled=pump_enabled)
+            instr = _load()
+            state = _state()
+            _warm(cached, instr, state)
+            _warm(fresh, instr, state)      # TLB hot in both generators
+            for base in (0x10000, 0x10000 + BANK_PERIOD,
+                         0x10000 + 3 * BANK_PERIOD):
+                state.sregs.write(1, base)
+                a = cached.plan(instr, state)
+                fresh.invalidate_plans()
+                b = fresh.plan(instr, state)
+                assert a.kind == b.kind
+                assert a.addr_gen_cycles == b.addr_gen_cycles
+                assert a.tlb_penalty == b.tlb_penalty == 0.0
+                assert a.quadwords == b.quadwords
+                assert np.array_equal(np.asarray(a.touched),
+                                      np.asarray(b.touched))
+                # the line view, and the per-slice lines a fallback
+                # walk reads
+                assert a.lines == b.lines
+                assert np.array_equal(a.last_ref, b.last_ref)
+                assert a.n_refs == b.n_refs
+                assert a.widest == b.widest
+                assert b.delta == 0
+                assert [a.slice_lines(k) for k in range(len(a.slices))] \
+                    == [s.line_addresses() for s in b.slices]
+            assert cached.counters["plan_cache_hits"] >= 2
