@@ -15,7 +15,7 @@ Commands mirror the paper's evaluation artifacts:
 * ``chaos`` — run the fault-injection recovery suite: seeded faults at
   every site type, precise-trap recovery, differential state oracle
   (docs/FAULTS.md); ``--layer pool`` instead drills the orchestration
-  layer (seeded worker kills, hangs, torn cache writes) and proves the
+  layer (seeded worker kills and torn cache writes) and proves the
   rendered report is byte-identical to a fault-free run;
 * ``bench`` — measure simulator throughput (wall-clock and simulated
   instructions per host second) per workload and write
@@ -30,12 +30,9 @@ Commands mirror the paper's evaluation artifacts:
 
 Simulation grids (table2/table4, the figures, report) accept
 ``--jobs N`` for process-parallel fan-out and ``--no-cache`` to bypass
-the content-addressed result cache under ``.repro-cache/``.  ``report``
-and ``bench`` additionally take ``--timeout S`` (per-cell wall-clock
-budget), ``--deadline S`` (whole-grid budget; overrunning cells degrade
-into Timeout failures instead of hanging) and ``--pool
-{auto,serial,process}`` to force an execution backend — the fault
-budget of docs/HARNESS.md's pool layer.
+the content-addressed result cache under ``.repro-cache/``.  A failed
+cell is retried once, and a broken process pool keeps its finished
+cells and re-runs the rest serially (docs/HARNESS.md's pool layer).
 
 Everything prints the paper's published values alongside where they
 exist, so the CLI doubles as a reproduction report generator.
@@ -54,28 +51,14 @@ import sys
 from repro.core.config import CONFIGURATIONS
 from repro.harness import figures, report, tables
 from repro.harness.engine import ResultCache, default_jobs
-from repro.harness.pool import PoolPolicy
 from repro.harness.runner import run
 from repro.workloads.registry import REGISTRY
 
 
 def _engine_args(args):
-    """(jobs, cache) from the shared --jobs/--no-cache flags.
-
-    Where the command grew pool flags (report), ``--timeout``,
-    ``--deadline`` and ``--pool`` become the process-wide default
-    :class:`PoolPolicy`, so every grid the command runs — tables,
-    figures, suite matrices — executes under the same fault budget
-    without threading a policy through each generator signature.
-    """
-    from repro.harness import engine
-
+    """(jobs, cache) from the shared --jobs/--no-cache flags."""
     jobs = args.jobs if args.jobs > 0 else default_jobs()
     cache = None if args.no_cache else ResultCache()
-    engine.DEFAULT_POLICY = PoolPolicy(
-        backend=getattr(args, "pool", None) or "auto",
-        timeout=getattr(args, "timeout", None),
-        deadline=getattr(args, "deadline", None))
     return jobs, cache
 
 
@@ -295,18 +278,17 @@ def _chaos_body(args) -> int:
 def _chaos_pool_body(args) -> int:
     """``repro chaos --layer pool``: the orchestration-chaos gate.
 
-    Seeded worker kills, hangs and torn cache writes against one suite
-    grid; passes (exit 0) only when the rendered report is
-    byte-identical to a fault-free serial run, nothing was quarantined
-    and retries stayed within budget (docs/FAULTS.md).
+    Seeded worker kills and torn cache writes against one suite grid;
+    passes (exit 0) only when the rendered report is byte-identical to
+    a fault-free serial run, nothing was quarantined and every
+    scheduled fault was injected (docs/FAULTS.md).
     """
     from repro.faults.chaos_pool import run_pool_chaos_oracle
 
     scale = args.scale if args.scale is not None else (
         0.02 if args.quick else 0.05)
     result = run_pool_chaos_oracle(
-        seed=args.seed, suite=args.suite, jobs=args.jobs,
-        scale=scale, timeout=args.timeout)
+        seed=args.seed, suite=args.suite, jobs=args.jobs, scale=scale)
     text = result.summary()
     print(text)
     if args.log:
@@ -324,9 +306,7 @@ def _cmd_bench(args) -> int:
         out = None
     return bench_main(quick=args.quick, output=out,
                       check_against=args.check_against,
-                      kernels=args.kernel, suite=args.suite,
-                      timeout=args.timeout, deadline=args.deadline,
-                      backend=args.pool)
+                      kernels=args.kernel, suite=args.suite)
 
 
 def _cmd_asm(args) -> int:
@@ -483,26 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip output verification")
     p_run.set_defaults(fn=_cmd_run)
 
-    def add_engine_flags(p, quick_help):
+    def add_engine_flags(p, quick_help, jobs=1):
         p.add_argument("--quick", action="store_true", help=quick_help)
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (0 = all cores; default 1)")
+        p.add_argument("--jobs", type=int, default=jobs, metavar="N",
+                       help=f"worker processes (0 = all cores; "
+                       f"default {jobs})")
         p.add_argument("--no-cache", action="store_true",
                        help="bypass the .repro-cache/ result cache")
-
-    def add_pool_flags(p):
-        p.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="per-cell wall-clock budget; an overrunning "
-                       "cell is retried, then degrades into a Timeout "
-                       "failure (default: none)")
-        p.add_argument("--deadline", type=float, default=None, metavar="S",
-                       help="whole-grid wall-clock budget; unfinished "
-                       "cells degrade into Timeout failures instead of "
-                       "hanging (default: none)")
-        p.add_argument("--pool", choices=("auto", "serial", "process"),
-                       default="auto",
-                       help="grid execution backend (default: auto — "
-                       "process when --jobs > 1)")
 
     # table1/table3 are pure configuration arithmetic: no --quick (they
     # reject it), no simulation grid to parallelize or cache
@@ -525,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser(
         "report", help="regenerate every table and figure "
         "(parallel + cached; see docs/HARNESS.md)")
-    add_engine_flags(p_report, "quarter every problem scale")
+    add_engine_flags(p_report, "quarter every problem scale", jobs=0)
     p_report.add_argument("--profile", action="store_true",
                           help="print per-component time to stderr "
                           "(docs/PERF.md)")
@@ -535,8 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--instances", default="default", metavar="FAMILY",
                           help="instance family for --suite "
                           "(default: 'default')")
-    add_pool_flags(p_report)
-    p_report.set_defaults(fn=_cmd_report, jobs=0)
+    p_report.set_defaults(fn=_cmd_report)
 
     p_chaos = sub.add_parser(
         "chaos", help="fault-injection recovery suite (docs/FAULTS.md)")
@@ -546,16 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
                          default="sim",
                          help="'sim' injects architectural faults inside "
                          "the simulator; 'pool' injects orchestration "
-                         "faults (worker kills, hangs, torn cache writes) "
-                         "into grid execution (default: sim)")
+                         "faults (worker kills, torn cache writes) into "
+                         "grid execution (default: sim)")
     p_chaos.add_argument("--suite", default="table4", metavar="NAME",
                          help="suite the pool drill runs over "
                          "(default: table4; see list-suites)")
     p_chaos.add_argument("--jobs", type=int, default=2, metavar="N",
                          help="pool-drill worker processes (default 2)")
-    p_chaos.add_argument("--timeout", type=float, default=8.0, metavar="S",
-                         help="pool-drill per-cell wall-clock budget "
-                         "(default 8s)")
     p_chaos.add_argument("--quick", action="store_true",
                          help="pool drill at a CI-sized problem scale")
     p_chaos.add_argument("--log", default=None, metavar="FILE",
@@ -591,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--suite", default=None, metavar="NAME",
                          help="benchmark one registered suite "
                          "(default: tarantula; see list-suites)")
-    add_pool_flags(p_bench)
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_asm = sub.add_parser("asm", help="assemble a text kernel")

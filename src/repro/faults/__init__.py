@@ -16,7 +16,7 @@ proves that contract end to end against the simulator:
   fault-free run;
 * :mod:`repro.faults.chaos_pool` — orchestration-level chaos: a seeded
   :class:`ChaosPool`/:class:`ChaosCache` pair that kills workers
-  mid-cell, wedges them in hangs and tears result-cache writes, with
+  mid-cell and tears result-cache writes, with
   :func:`run_pool_chaos_oracle` proving the rendered report stays
   byte-identical to a fault-free run (``repro chaos --layer pool``).
 
@@ -26,7 +26,6 @@ See docs/FAULTS.md for the fault model.
 from __future__ import annotations
 
 from repro.faults.chaos_pool import (
-    POOL_EVENTS,
     ChaosCache,
     ChaosCell,
     ChaosPool,
@@ -47,7 +46,6 @@ from repro.faults.plan import (
 from repro.faults.oracle import OracleResult, run_recovery_oracle, state_digest
 
 __all__ = [
-    "POOL_EVENTS",
     "SITE_KILL",
     "SITE_MAF",
     "SITE_POISON",

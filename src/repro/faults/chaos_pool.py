@@ -1,27 +1,26 @@
-"""Orchestration-level chaos: seeded kills, hangs and torn cache writes.
+"""Orchestration-level chaos: seeded worker kills and torn cache writes.
 
-PR 4 proved faults *inside* the simulator recover bit-identically; this
-module applies the same seeded-injection + differential-oracle
-discipline one level up, to the grid-execution layer itself.  Three
-injectors, all deterministic in a single seed:
+The simulator-level chaos suite proves faults *inside* the simulator
+recover bit-identically; this module applies the same seeded-injection
++ differential-oracle discipline one level up, to the grid-execution
+layer itself.  Three pieces, all deterministic in a single seed:
 
 * :class:`ChaosPool` — wraps any :class:`~repro.harness.pool.Pool` and
   decorates every submitted cell with a :class:`ChaosCell` that, per a
   :class:`PoolChaosPlan` schedule, kills its worker mid-cell
-  (``os._exit``) or wedges it in a long sleep.  Marker files give each
-  event fire-once semantics across worker respawns and retries, so a
-  retried cell runs clean — exactly the transient-fault shape the
-  scheduler's budget is sized for.
+  (``os._exit``).  Marker files give each kill fire-once semantics, so
+  the serial re-run after the pool break runs the cell clean.
 * :class:`ChaosCache` — a :class:`~repro.harness.engine.ResultCache`
-  that deterministically tears a subset of its committed entries
+  that tears the committed entries of the plan's chosen cells
   (truncated pickle) and leaks backdated ``*.tmp.*`` debris, modelling
   writers killed mid-put.
 * :func:`run_pool_chaos_oracle` — the differential gate: a fault-free
-  serial reference render, a chaos run under kills/hangs/tears, and a
+  serial reference render, a chaos run under kills and tears, and a
   warm rerun against the damaged cache must all produce byte-identical
-  ``repro report`` output, with zero quarantined cells and retries
-  within budget.  ``repro chaos --layer pool --seed N`` runs it; CI
-  pins one seed.  See docs/FAULTS.md.
+  ``repro report`` output with zero quarantined cells, and on a process
+  pool every scheduled fault must actually have been injected.
+  ``repro chaos --layer pool --seed N`` runs it; CI pins one seed.  See
+  docs/FAULTS.md.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import shutil
 import tempfile
 import time
 import warnings
@@ -36,13 +36,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.harness.engine import STATS, ResultCache
-from repro.harness.pool import PoolPolicy, ProcessPool, SerialPool
+from repro.harness.engine import STATS, ResultCache, cache_key
+from repro.harness.pool import ProcessPool, SerialPool
 
 __all__ = [
-    "EVENT_HANG",
     "EVENT_KILL",
-    "POOL_EVENTS",
     "ChaosCache",
     "ChaosCell",
     "ChaosPool",
@@ -52,8 +50,6 @@ __all__ = [
 ]
 
 EVENT_KILL = "worker_kill"
-EVENT_HANG = "worker_hang"
-POOL_EVENTS = (EVENT_KILL, EVENT_HANG)
 
 #: exit status a killed worker dies with (aids post-mortems in CI logs)
 KILL_STATUS = 13
@@ -68,20 +64,15 @@ def _token(spec) -> str:
 class PoolChaosPlan:
     """Deterministic schedule of orchestration faults for one grid.
 
-    ``schedule`` picks hang targets from the first half of the grid and
-    kill targets from the second half (both seeded): hangs then
-    exercise the timeout/retry path *before* the kill breaks the pool
-    and exercises preserve-on-break — one run covers both seams.
-    ``tears`` marks a seeded subset of cache keys for torn-write
-    injection.
+    ``schedule`` picks kill targets from the second half of the grid
+    (seeded), so cells in the first half can finish before the kill
+    breaks the pool and preserve-on-break has results to keep.
+    ``tears`` picks the cells whose cache entries get torn.
     """
 
     seed: int
     kills: int = 1
-    hangs: int = 1
-    #: how long a hung worker sleeps; size it beyond the grid timeout
-    hang_s: float = 30.0
-    #: tear roughly 1-in-N committed cache entries (0 disables)
+    #: tear 1-in-N of the grid's cells, at least one (0 disables)
     tear_every: int = 3
 
     def _pick(self, indices: list, count: int, salt: str) -> list:
@@ -96,21 +87,24 @@ class PoolChaosPlan:
     def schedule(self, specs) -> dict:
         """Map spec -> event name, deterministic in (seed, grid)."""
         n = len(specs)
-        first, second = list(range(n // 2)), list(range(n // 2, n))
-        events = {}
-        for i in self._pick(first or second, self.hangs, "hang"):
-            events[specs[i]] = EVENT_HANG
-        for i in self._pick([j for j in (second or first)
-                             if specs[j] not in events],
-                            self.kills, "kill"):
-            events[specs[i]] = EVENT_KILL
-        return events
+        return {specs[i]: EVENT_KILL
+                for i in self._pick(list(range(n // 2, n)), self.kills,
+                                    "kill")}
 
-    def tears(self, key: str) -> bool:
-        if not self.tear_every:
-            return False
-        word = hashlib.sha256(f"{self.seed}|tear|{key}".encode()).digest()
-        return word[0] % self.tear_every == 0
+    def tears(self, specs) -> list:
+        """The cells whose cache entries get torn, deterministic in
+        (seed, grid).
+
+        Cells are ranked by a seeded hash of their :func:`_token`, not
+        of their cache key: every cache key is salted with the package
+        source, and the choice must not move when the source does.
+        """
+        unique = list(dict.fromkeys(specs))
+        if not self.tear_every or not unique:
+            return []
+        count = max(1, len(unique) // self.tear_every)
+        return sorted(unique, key=lambda spec: hashlib.sha256(
+            f"{self.seed}|tear|{_token(spec)}".encode()).digest())[:count]
 
 
 @dataclass(frozen=True)
@@ -118,16 +112,15 @@ class ChaosCell:
     """Picklable cell decorator that fires one scheduled event per spec.
 
     Runs in the worker as ``cell(fn, spec)``.  An event fires at most
-    once grid-wide (marker file, shared across processes and respawns)
-    and never in the orchestrating parent — a serial fallback must make
-    progress, not re-kill itself.  Suppressed events leave a
-    ``.suppressed`` marker so the chaos log can account for them.
+    once grid-wide (marker file, shared across processes) and never in
+    the orchestrating parent — a serial fallback must make progress,
+    not re-kill itself.  Suppressed events leave a ``.suppressed``
+    marker so the chaos log can account for them.
     """
 
     events: dict
     marker_dir: str
     parent_pid: int
-    hang_s: float
 
     def __call__(self, fn, spec):
         event = self.events.get(spec)
@@ -139,9 +132,7 @@ class ChaosCell:
                         .write_text(event)
             elif not marker.exists():
                 marker.write_text(event)
-                if event == EVENT_KILL:
-                    os._exit(KILL_STATUS)
-                time.sleep(self.hang_s)
+                os._exit(KILL_STATUS)
         return fn(spec)
 
 
@@ -157,12 +148,11 @@ class ChaosPool:
     def __init__(self, inner, plan: PoolChaosPlan, specs,
                  marker_dir: Path | str) -> None:
         self.inner = inner
-        self.plan = plan
         self.marker_dir = Path(marker_dir)
         self.marker_dir.mkdir(parents=True, exist_ok=True)
         self.events = plan.schedule(list(specs))
         self._cell = ChaosCell(self.events, str(self.marker_dir),
-                               os.getpid(), plan.hang_s)
+                               os.getpid())
 
     @property
     def kind(self) -> str:
@@ -181,9 +171,6 @@ class ChaosPool:
 
     def mark_dirty(self) -> None:
         self.inner.mark_dirty()
-
-    def respawn(self) -> None:
-        self.inner.respawn()
 
     def close(self) -> None:
         self.inner.close()
@@ -204,23 +191,24 @@ class ChaosPool:
 
 
 class ChaosCache(ResultCache):
-    """ResultCache variant whose writes deterministically go wrong.
+    """ResultCache variant whose writes to chosen keys go wrong.
 
-    After a normal ``put``, a seeded subset of keys gets the committed
-    entry truncated (a torn write: the next reader must quarantine and
-    re-simulate, never trust it) plus a backdated ``*.tmp.*`` file (a
-    crashed writer's debris: the next cache init must sweep it).
+    After a normal ``put`` of a key in ``torn_keys``, the committed
+    entry is truncated (a torn write: the next reader must quarantine
+    and re-simulate, never trust it) and a backdated ``*.tmp.*`` file
+    appears beside it (a crashed writer's debris: the next cache init
+    must sweep it).
     """
 
-    def __init__(self, root, plan: PoolChaosPlan) -> None:
+    def __init__(self, root, torn_keys) -> None:
         super().__init__(root)
-        self.plan = plan
+        self.torn_keys = frozenset(torn_keys)
         self.torn = 0
         self.leaked_tmp = 0
 
     def put(self, key: str, outcome) -> None:
         super().put(key, outcome)
-        if not self.plan.tears(key):
+        if key not in self.torn_keys:
             return
         path = self._path(key)
         try:
@@ -247,6 +235,9 @@ class PoolChaosResult:
     seed: int
     cells: int
     jobs: int
+    #: kind of the pool the chaos pass ran on: "process", or "serial"
+    #: where the platform cannot start worker processes
+    pool: str
     #: chaos-run report bytes == fault-free serial reference bytes
     identical: bool
     #: warm rerun against the damaged cache is *also* byte-identical
@@ -254,36 +245,34 @@ class PoolChaosResult:
     #: STATS deltas across the chaos pass
     quarantined: int
     retries: int
-    timeouts: int
     preserved_on_break: int
     #: injection accounting
     torn_writes: int
     leaked_tmp: int
     swept_tmp: int
     corrupt_recovered: int
-    retry_budget: int
     events: tuple = ()
     report_text: str = ""
 
     @property
-    def within_budget(self) -> bool:
-        # the serial continuation after a pool break restarts each
-        # unfinished cell's budget, hence the factor of two
-        return self.retries <= 2 * self.retry_budget * self.cells
-
-    @property
     def ok(self) -> bool:
+        # a drill that injected nothing proves nothing; a serial pool
+        # never kills its own process, so only a process pool is held
+        # to every kill firing and at least one write tearing
+        injected = self.torn_writes > 0 and all(
+            status == "fired" for _, _, status in self.events)
         return (self.identical and self.warm_identical
-                and self.quarantined == 0 and self.within_budget)
+                and self.quarantined == 0
+                and (self.pool != "process" or injected))
 
     def log_lines(self) -> list:
         lines = [f"chaos[pool]: seed={self.seed} suite={self.suite} "
-                 f"cells={self.cells} jobs={self.jobs}"]
+                 f"cells={self.cells} jobs={self.jobs} pool={self.pool}"]
         for spec, event, status in self.events:
             lines.append(f"  {event:<12s} {spec.kernel}/{spec.config} "
                          f"scale={spec.scale:g}: {status}")
         lines.append(
-            f"  counters: timeouts={self.timeouts} retries={self.retries} "
+            f"  counters: retries={self.retries} "
             f"quarantined={self.quarantined} "
             f"preserved_on_break={self.preserved_on_break}")
         lines.append(
@@ -309,8 +298,7 @@ def _stats_snapshot() -> dict:
 
 def run_pool_chaos_oracle(seed: int = 1234, suite: str = "table4",
                           instances: str = "default", jobs: int = 2,
-                          scale: float = 0.05, timeout: float = 8.0,
-                          hang_s: Optional[float] = None, retries: int = 2,
+                          scale: float = 0.05,
                           workdir: Optional[Path] = None) -> PoolChaosResult:
     """The orchestration-chaos differential gate.
 
@@ -319,17 +307,26 @@ def run_pool_chaos_oracle(seed: int = 1234, suite: str = "table4",
     1. *reference* — serial, fault-free, uncached; its rendered report
        is the byte-level truth.
     2. *chaos* — a :class:`ProcessPool` wrapped in :class:`ChaosPool`
-       (seeded worker kill + hang) writing through a
-       :class:`ChaosCache` (torn entries, leaked tmp files), under a
-       per-cell ``timeout`` and a ``retries`` budget.
+       (seeded worker kill) writing through a :class:`ChaosCache` (torn
+       entries, leaked tmp files).
     3. *warm* — a fresh, plain :class:`ResultCache` over the damaged
        root, serial: init must sweep the leaked tmp files, reads must
        quarantine every torn entry and re-simulate.
 
-    All three renders must be byte-identical, nothing may end
-    quarantined, and retries must stay within budget — the scheduler's
-    whole fault machinery, proven invisible from the outside.
+    All three renders must be byte-identical and nothing may end
+    quarantined — the scheduler's whole fault machinery, proven
+    invisible from the outside.  Markers and the cache live under
+    ``workdir``; without one, a temporary directory is created and
+    removed afterwards.
     """
+    if workdir is None:
+        workdir = Path(tempfile.mkdtemp(prefix="repro-chaos-pool-"))
+        try:
+            return run_pool_chaos_oracle(seed, suite, instances, jobs,
+                                         scale, workdir)
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
+
     import repro.workloads.registry  # noqa: F401 - populate the registries
     from repro.harness import report
     from repro.workloads.suite import Matrix, get_family, get_suite
@@ -338,10 +335,6 @@ def run_pool_chaos_oracle(seed: int = 1234, suite: str = "table4",
     family = get_family(instances)
     matrix = Matrix(suite_obj, family, scales=scale, check=True)
     specs = matrix.specs()
-    if hang_s is None:
-        hang_s = 4 * timeout
-    if workdir is None:
-        workdir = Path(tempfile.mkdtemp(prefix="repro-chaos-pool-"))
     workdir = Path(workdir)
     marker_dir = workdir / "markers"
     cache_root = workdir / "cache"
@@ -350,9 +343,9 @@ def run_pool_chaos_oracle(seed: int = 1234, suite: str = "table4",
     ref_text = report.render_matrix(suite_obj, family, matrix.run(jobs=1))
 
     # pass 2: chaos
-    plan = PoolChaosPlan(seed, hang_s=hang_s)
-    policy = PoolPolicy(backend="process", timeout=timeout, retries=retries)
-    cache = ChaosCache(cache_root, plan)
+    plan = PoolChaosPlan(seed)
+    cache = ChaosCache(cache_root,
+                       [cache_key(spec) for spec in plan.tears(specs)])
     try:
         inner = ProcessPool(jobs)
     except (OSError, PermissionError):
@@ -363,7 +356,7 @@ def run_pool_chaos_oracle(seed: int = 1234, suite: str = "table4",
         with warnings.catch_warnings():
             # the mid-grid break warning is the expected behavior here
             warnings.simplefilter("ignore", RuntimeWarning)
-            chaos_grid = matrix.run(cache=cache, pool=pool, policy=policy)
+            chaos_grid = matrix.run(cache=cache, pool=pool)
     finally:
         pool.close()
     delta = {k: v - before[k] for k, v in _stats_snapshot().items()}
@@ -378,12 +371,11 @@ def run_pool_chaos_oracle(seed: int = 1234, suite: str = "table4",
 
     return PoolChaosResult(
         suite=suite_obj.name, seed=seed, cells=len(specs), jobs=jobs,
+        pool=inner.kind,
         identical=chaos_text == ref_text,
         warm_identical=warm_text == ref_text,
         quarantined=delta["quarantined"], retries=delta["retries"],
-        timeouts=delta["timeouts"],
         preserved_on_break=delta["preserved_on_break"],
         torn_writes=cache.torn, leaked_tmp=cache.leaked_tmp,
         swept_tmp=warm_cache.swept, corrupt_recovered=warm_cache.corrupt,
-        retry_budget=retries, events=tuple(pool.event_log()),
-        report_text=ref_text)
+        events=tuple(pool.event_log()), report_text=ref_text)

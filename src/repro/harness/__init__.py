@@ -17,7 +17,6 @@ from repro.harness.engine import (
 )
 from repro.harness.pool import (
     Pool,
-    PoolPolicy,
     ProcessPool,
     SerialPool,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "DEFAULT_SCALES",
     "ExperimentSpec",
     "Pool",
-    "PoolPolicy",
     "ProcessPool",
     "ResultCache",
     "RunOutcome",

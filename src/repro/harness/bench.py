@@ -28,15 +28,10 @@ Runs go through :func:`repro.harness.engine.execute` — the same path
 the report uses — with ``check=True``, so a benchmark run is also a
 correctness run.
 
-Fault budget: ``--deadline S`` bounds the whole benchmark run —
-workloads not started in time are recorded as skipped (excluded from
-the totals, listed under ``incomplete``).  ``--timeout S`` (or
-``--pool process``) measures each workload inside a single worker
-process so an overrunning workload can be abandoned and the pool
-respawned instead of hanging the benchmark; by default measurement
-stays in-process, byte-identical to the committed baselines.  A
-document with incomplete entries never passes ``--check-against`` —
-a partial total is not comparable.
+Ctrl-C keeps the measurements already taken, records the remaining
+workloads under ``incomplete`` and exits 130.  A document with
+incomplete entries never passes ``--check-against`` — a partial total
+is not comparable.
 """
 
 from __future__ import annotations
@@ -112,11 +107,9 @@ def _jit_off_sidecar(name: str, scale: float, cycles: float) -> float | None:
 
 
 def _bench_cell(name: str, scale: float) -> dict:
-    """Cold+warm measurement of one workload, in-process or in a
-    worker (picklable).
+    """Cold+warm measurement of one workload: its result-document entry.
 
-    Memos are cleared first so the cold run is a true cold build, in
-    this process or in a reused worker alike.
+    Memos are cleared first so the cold run is a true cold build.
     """
     _clear_memos()
     cold_s, outcome = _run_once(name, scale)
@@ -125,26 +118,23 @@ def _bench_cell(name: str, scale: float) -> dict:
         raise RuntimeError(
             f"bench: {name} warm rerun diverged "
             f"({warm_outcome.cycles} != {outcome.cycles} cycles)")
-    return {
-        "instructions": _instructions(outcome),
+    instructions = _instructions(outcome)
+    entry = {
+        "suite": _suite_of(name),
+        "instructions": instructions,
         "simulated_cycles": outcome.cycles,
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "jit_off_s": _jit_off_sidecar(name, scale, outcome.cycles),
+        "cold_wall_s": round(cold_s, 4),
+        "warm_wall_s": round(warm_s, 4),
+        "cold_instr_per_s": round(instructions / cold_s, 1),
+        "warm_instr_per_s": round(instructions / warm_s, 1),
     }
-
-
-def _measure_in_worker(pool, name: str, scale: float,
-                       timeout: float | None) -> dict | None:
-    """One workload through the measurement pool; None = timed out."""
-    import concurrent.futures
-
-    fut = pool.submit(_bench_cell, name, scale)
-    try:
-        return fut.result(timeout=timeout)
-    except concurrent.futures.TimeoutError:
-        pool.respawn()                  # reclaim the wedged worker
-        return None
+    jit_off_s = _jit_off_sidecar(name, scale, outcome.cycles)
+    if jit_off_s is not None:
+        # same-process, same-machine differential: the ratio is the
+        # speedup evidence that survives noisy CI runners
+        entry["jit_off_warm_s"] = round(jit_off_s, 4)
+        entry["jit_speedup"] = round(jit_off_s / warm_s, 2)
+    return entry
 
 
 def _suite_of(name: str) -> str:
@@ -159,10 +149,7 @@ def _suite_of(name: str) -> str:
 
 def run_benchmarks(quick: bool = False,
                    kernels: list[str] | None = None,
-                   progress=None, suite: str | None = None,
-                   timeout: float | None = None,
-                   deadline: float | None = None,
-                   backend: str = "auto") -> dict:
+                   progress=None, suite: str | None = None) -> dict:
     """Benchmark one suite of workloads; returns the result document.
 
     The default is the ``tarantula`` suite — the paper's own 19
@@ -170,14 +157,6 @@ def run_benchmarks(quick: bool = False,
     NOT the whole registry, so the ``--check-against`` gate keeps
     comparing like against like as new suites register.  An explicit
     ``kernels`` list wins over ``suite``.
-
-    With ``timeout`` (or ``backend="process"``) each workload is
-    measured inside a one-worker :class:`~repro.harness.pool
-    .ProcessPool`; an overrunning workload is abandoned (recorded under
-    ``incomplete``, the pool respawned) instead of wedging the run.
-    ``deadline`` bounds the whole benchmark: workloads not started in
-    time are skipped.  Without either flag measurement is in-process
-    and byte-identical to the historical behavior.
     """
     import repro.workloads.registry  # noqa: F401 — populate the suites
     from repro.workloads.suite import get_suite
@@ -187,76 +166,29 @@ def run_benchmarks(quick: bool = False,
         names = list(kernels)
     else:
         names = list(get_suite(suite if suite else "tarantula"))
-    use_worker = timeout is not None or backend == "process"
-    pool = None
-    if use_worker:
-        from repro.harness.pool import ProcessPool
-
-        pool = ProcessPool(1)
     workloads: dict[str, dict] = {}
     incomplete: dict[str, str] = {}
     interrupted = False
-    start = time.perf_counter()
     pos = 0
     try:
         for pos, name in enumerate(names):
-            if deadline is not None \
-                    and time.perf_counter() - start > deadline:
-                incomplete[name] = "skipped: deadline exceeded"
-                if progress is not None:
-                    print(f"bench: {name:<14s} skipped "
-                          f"(deadline {deadline:g}s exceeded)",
-                          file=progress)
-                continue
-            if pool is not None:
-                cell = _measure_in_worker(pool, name, scale, timeout)
-                if cell is None:
-                    incomplete[name] = (
-                        f"timed out: exceeded {timeout:g}s in the worker")
-                    if progress is not None:
-                        print(f"bench: {name:<14s} TIMED OUT "
-                              f"(> {timeout:g}s)", file=progress)
-                    continue
-            else:
-                cell = _bench_cell(name, scale)
-            cold_s, warm_s = cell["cold_s"], cell["warm_s"]
-            instructions = cell["instructions"]
-            jit_off_s = cell["jit_off_s"]
-            workloads[name] = {
-                "suite": _suite_of(name),
-                "instructions": instructions,
-                "simulated_cycles": cell["simulated_cycles"],
-                "cold_wall_s": round(cold_s, 4),
-                "warm_wall_s": round(warm_s, 4),
-                "cold_instr_per_s": round(instructions / cold_s, 1),
-                "warm_instr_per_s": round(instructions / warm_s, 1),
-            }
-            if jit_off_s is not None:
-                # same-process, same-machine differential: the ratio is
-                # the speedup evidence that survives noisy CI runners
-                workloads[name]["jit_off_warm_s"] = round(jit_off_s, 4)
-                workloads[name]["jit_speedup"] = round(jit_off_s / warm_s, 2)
+            entry = workloads[name] = _bench_cell(name, scale)
             if progress is not None:
-                print(f"bench: {name:<14s} {instructions:>8d} instr  "
-                      f"cold {cold_s:6.2f}s  warm {warm_s:6.2f}s  "
-                      f"({instructions / warm_s:>9.0f} instr/s warm)",
+                print(f"bench: {name:<14s} {entry['instructions']:>8d} "
+                      f"instr  cold {entry['cold_wall_s']:6.2f}s  "
+                      f"warm {entry['warm_wall_s']:6.2f}s  "
+                      f"({entry['warm_instr_per_s']:>9.0f} instr/s warm)",
                       file=progress)
     except KeyboardInterrupt:
         # Ctrl-C: keep the measurements already taken, record the rest
         # as incomplete and let main() exit 130 — never lose a partial
         # run to an interrupt
         interrupted = True
-        for name in names[pos:]:
-            if name not in workloads:
-                incomplete.setdefault(name, "interrupted (Ctrl-C)")
+        incomplete = {name: "interrupted (Ctrl-C)" for name in names[pos:]
+                      if name not in workloads}
         if progress is not None:
             print("bench: interrupted — remaining workload(s) recorded "
                   "as incomplete", file=progress)
-        if pool is not None:
-            pool.mark_dirty()           # workers may be mid-measurement
-    finally:
-        if pool is not None:
-            pool.close()
     from repro import jit
 
     totals = {
@@ -323,14 +255,10 @@ def check_regression(current: dict, baseline_path: Path,
 def main(quick: bool = False, output: str | None = DEFAULT_OUTPUT,
          check_against: str | None = None,
          kernels: list[str] | None = None,
-         suite: str | None = None,
-         timeout: float | None = None,
-         deadline: float | None = None,
-         backend: str = "auto") -> int:
+         suite: str | None = None) -> int:
     """Entry point shared by the CLI and benchmarks/ wrapper script."""
     doc = run_benchmarks(quick=quick, kernels=kernels, progress=sys.stderr,
-                         suite=suite, timeout=timeout, deadline=deadline,
-                         backend=backend)
+                         suite=suite)
     if output:
         Path(output).write_text(json.dumps(doc, indent=2, sort_keys=True)
                                 + "\n")

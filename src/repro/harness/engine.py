@@ -32,10 +32,9 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from repro.harness.pool import Pool, PoolPolicy, ProcessPool, SerialPool, \
-    run_grid
+from repro.harness.pool import Pool, ProcessPool, SerialPool, run_grid
 
 from repro.core.config import CONFIGURATIONS, MachineConfig
 from repro.errors import ArchitecturalTrap, ConfigError
@@ -64,8 +63,6 @@ class EngineStats:
     cell_failures: int = 0
     retries: int = 0
     quarantined: int = 0
-    #: attempts abandoned for exceeding the per-cell/grid time budget
-    timeouts: int = 0
     #: completed cells kept (not re-simulated) across a mid-grid pool break
     preserved_on_break: int = 0
     #: cells abandoned by a KeyboardInterrupt (Ctrl-C exits 130)
@@ -156,8 +153,7 @@ class CellFailure:
     :class:`ArchitecturalTrap` — while quacking enough like a
     :class:`RunOutcome` (NaN metrics, ``verified=False``) that the
     table/figure renderers can mark the cell and move on instead of
-    dying.  ``attempts`` is ``retries + 1`` once every retry also failed
-    (quarantined).
+    dying.  ``attempts`` is 2 once the retry also failed (quarantined).
     """
 
     spec: "ExperimentSpec"
@@ -608,25 +604,19 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-#: process-wide default fault budget for grid runs; the CLI derives it
-#: from ``--pool/--timeout/--deadline`` so table/figure call signatures
-#: stay unchanged.  Callers wanting a specific budget pass ``policy=``.
-DEFAULT_POLICY = PoolPolicy()
-
-
-def _make_pool(jobs: int, n_misses: int, policy: PoolPolicy) -> Pool:
-    """Pick and build a backend; falls back to serial when the platform
-    cannot fork/spawn workers (sandboxes, exotic schedulers).  The
-    fallback is audible: a RuntimeWarning plus ``STATS.pool_fallbacks``,
-    because a silently serialized 200-cell grid looks like a hang."""
+def _make_pool(jobs: int, n_misses: int) -> Pool:
+    """A :class:`ProcessPool` when ``jobs > 1`` and more than one cell
+    missed the cache, else a :class:`SerialPool`.  Falls back to serial
+    when the platform cannot fork/spawn workers (sandboxes, exotic
+    schedulers).  The fallback is audible: a RuntimeWarning plus
+    ``STATS.pool_fallbacks``, because a silently serialized 200-cell
+    grid looks like a hang."""
     from concurrent.futures.process import BrokenProcessPool
 
-    want_process = policy.backend == "process" or (
-        policy.backend == "auto" and jobs > 1 and n_misses > 1)
-    if not want_process:
+    if jobs <= 1 or n_misses <= 1:
         return SerialPool()
     try:
-        return ProcessPool(min(max(jobs, 1), max(n_misses, 1)))
+        return ProcessPool(min(jobs, n_misses))
     except (OSError, PermissionError, BrokenProcessPool) as err:
         STATS.pool_fallbacks += 1
         warnings.warn(
@@ -638,7 +628,6 @@ def _make_pool(jobs: int, n_misses: int, policy: PoolPolicy) -> Pool:
 
 def execute_many(specs: Iterable[ExperimentSpec], jobs: int = 1,
                  cache: Optional[ResultCache] = None, *,
-                 policy: Optional[PoolPolicy] = None,
                  pool: Optional[Pool] = None) -> list:
     """Run a grid of specs; returns outcomes in input order.
 
@@ -649,24 +638,19 @@ def execute_many(specs: Iterable[ExperimentSpec], jobs: int = 1,
     ``cache``, previously computed cells are loaded instead of
     re-simulated.
 
-    ``policy`` (default: the module's :data:`DEFAULT_POLICY`) sets the
-    fault budget — per-cell timeout, grid deadline and retries; see
-    :class:`~repro.harness.pool.PoolPolicy`.
     ``pool`` injects a prebuilt backend (chaos drills wrap one); its
     lifetime then belongs to the caller and ``jobs`` is ignored.
 
     A cell that fails becomes a :class:`CellFailure` instead of
-    aborting the grid: it is retried at once within ``policy.retries``,
-    and when the budget is exhausted it is quarantined (``attempts`` =
-    total tries, counted in ``STATS.quarantined``).  Timed-out cells
-    degrade into ``CellFailure(error_type="Timeout")``; a mid-grid pool
-    break keeps completed results and re-runs only unfinished cells
-    serially.
+    aborting the grid: it is resubmitted once
+    (:data:`~repro.harness.pool.RETRIES`), and a second failure
+    quarantines it (``attempts`` = total tries, counted in
+    ``STATS.quarantined``).  A mid-grid pool break keeps completed
+    results and re-runs only unfinished cells serially.
     Failures are never cached — the next run gets a fresh attempt.
     """
     specs = list(specs)
     unique = list(dict.fromkeys(specs))
-    policy = policy if policy is not None else DEFAULT_POLICY
 
     outcomes: dict[ExperimentSpec, object] = {}
     keys: dict[ExperimentSpec, str] = {}
@@ -682,9 +666,9 @@ def execute_many(specs: Iterable[ExperimentSpec], jobs: int = 1,
 
     owned = pool is None
     if owned:
-        pool = _make_pool(jobs, len(misses), policy)
+        pool = _make_pool(jobs, len(misses))
     try:
-        fresh = run_grid(misses, execute_captured, pool, policy, STATS)
+        fresh = run_grid(misses, execute_captured, pool, STATS)
     finally:
         if owned:
             pool.close()

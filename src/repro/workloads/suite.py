@@ -220,22 +220,20 @@ class Matrix:
     def specs(self) -> list["ExperimentSpec"]:
         return [spec for _, _, spec in self.cells()]
 
-    def run(self, jobs: int = 1, cache=None, pool=None,
-            policy=None) -> dict[str, dict[str, object]]:
+    def run(self, jobs: int = 1, cache=None,
+            pool=None) -> dict[str, dict[str, object]]:
         """Execute the grid; returns ``outcome[workload][instance.name]``.
 
         Dispatches through :func:`repro.harness.engine.execute_many`,
         so deduplication, process fan-out, caching and cell-failure
-        capture all apply.  ``pool``/``policy`` pass straight through —
-        a prebuilt backend (chaos drills) and a
-        :class:`~repro.harness.pool.PoolPolicy` fault budget.
+        capture all apply.  ``pool`` passes straight through: a
+        prebuilt backend (chaos drills).
         """
         from repro.harness.engine import execute_many
 
         cells = self.cells()
         outcomes = execute_many([spec for _, _, spec in cells],
-                                jobs=jobs, cache=cache, pool=pool,
-                                policy=policy)
+                                jobs=jobs, cache=cache, pool=pool)
         table: dict[str, dict[str, object]] = {}
         for (workload, instance, _), outcome in zip(cells, outcomes):
             table.setdefault(workload, {})[instance.name] = outcome

@@ -180,7 +180,6 @@ class TestPartialReportRendering:
     @staticmethod
     def _mini_grid():
         """A 3x1 suite grid of real cells: one good, two failed."""
-        from repro.harness.pool import _timeout_failure
         from repro.workloads.suite import Instance, InstanceFamily, Suite
 
         suite = Suite("mini", ("good", "trapped", "hung"),
@@ -189,8 +188,10 @@ class TestPartialReportRendering:
         grid = {
             "good": {"T": execute_captured(GOOD)},
             "trapped": {"T": execute_captured(BAD)},
-            "hung": {"T": _timeout_failure(
-                GOOD, 2, "cell exceeded its 1s budget")},
+            "hung": {"T": CellFailure(
+                spec=GOOD, error_type="TimeoutError",
+                message="cell raised TimeoutError", traceback_text="",
+                attempts=2)},
         }
         return suite, family, grid
 
@@ -209,8 +210,8 @@ class TestPartialReportRendering:
         assert "nan" not in text.lower()
 
     def test_render_matrix_marks_timeout_failures(self):
-        # the pool's fault budget degrades hung cells into
-        # error_type="Timeout" — the report must say so, not crash
+        # a cell whose own code timed out failed twice like any other;
+        # the report must name the error type, not crash
         from repro.harness.report import render_matrix
 
         suite, family, grid = self._mini_grid()
@@ -222,12 +223,12 @@ class TestPartialReportRendering:
         assert "FAIL" in hung_line and "Timeout" in hung_line
 
     def test_render_matrix_survives_an_all_failed_grid(self):
-        from repro.harness.pool import _timeout_failure
+        from repro.harness.pool import _interrupt_failure
         from repro.harness.report import render_matrix
 
+        # a grid Ctrl-C'd before any cell finished
         suite, family, _ = self._mini_grid()
-        grid = {name: {"T": _timeout_failure(GOOD, 1, "deadline")}
-                for name in suite}
+        grid = {name: {"T": _interrupt_failure(GOOD)} for name in suite}
         text = render_matrix(suite, family, grid)
         assert text.count("FAIL") == len(suite)
         assert "mini" in text.splitlines()[0]

@@ -39,9 +39,12 @@ class TestParser:
                                       "--no-cache"])
             assert args.quick and args.jobs == 2 and args.no_cache
 
-    def test_report_defaults_to_all_cores_and_cache(self):
+    def test_report_defaults_to_all_cores_and_cache(self, capsys):
         args = build_parser().parse_args(["report"])
         assert args.jobs == 0 and not args.no_cache
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "--help"])
+        assert "(0 = all cores; default 0)" in capsys.readouterr().out
 
     def test_report_defaults_to_full_evaluation(self):
         args = build_parser().parse_args(["report"])
@@ -61,23 +64,16 @@ class TestParser:
         assert args.suite == "rivec"
         assert build_parser().parse_args(["bench"]).suite is None
 
-    def test_report_and_bench_take_pool_flags(self):
-        parser = build_parser()
-        for cmd in ("report", "bench"):
-            args = parser.parse_args([cmd, "--timeout", "5", "--deadline",
-                                      "60", "--pool", "process"])
-            assert args.timeout == 5.0
-            assert args.deadline == 60.0
-            assert args.pool == "process"
-
-    def test_pool_flags_default_to_no_budget(self):
-        args = build_parser().parse_args(["report"])
-        assert args.timeout is None and args.deadline is None
-        assert args.pool == "auto"
-
-    def test_pool_backend_choices_are_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["report", "--pool", "threads"])
+    def test_wall_clock_budget_flags_are_rejected(self, capsys):
+        budget_flags = [["--timeout", "5"], ["--deadline", "5"],
+                        ["--pool", "serial"]]
+        for argv in ([[cmd] + flag for cmd in ("report", "bench")
+                      for flag in budget_flags]
+                     + [["chaos", "--layer", "pool", "--timeout", "4"]]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_chaos_defaults_to_sim_layer(self):
         args = build_parser().parse_args(["chaos"])
@@ -87,11 +83,10 @@ class TestParser:
     def test_chaos_pool_layer_takes_drill_flags(self):
         args = build_parser().parse_args(
             ["chaos", "--layer", "pool", "--seed", "7", "--suite", "rivec",
-             "--jobs", "3", "--timeout", "4", "--quick",
-             "--log", "drill.txt"])
+             "--jobs", "3", "--quick", "--log", "drill.txt"])
         assert args.layer == "pool" and args.seed == 7
         assert args.suite == "rivec" and args.jobs == 3
-        assert args.timeout == 4.0 and args.quick
+        assert args.quick
         assert args.log == "drill.txt"
 
     @pytest.mark.parametrize("layer", ["network", "serve"])
