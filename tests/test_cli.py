@@ -64,15 +64,33 @@ class TestParser:
         assert args.suite == "rivec"
         assert build_parser().parse_args(["bench"]).suite is None
 
-    def test_wall_clock_budget_flags_are_rejected(self, capsys):
-        budget_flags = [["--timeout", "5"], ["--deadline", "5"],
-                        ["--pool", "serial"]]
+    def test_report_and_bench_take_pool_flags(self, capsys):
+        # --jobs is the only pool flag left; the wall-clock budget flags
+        # (--timeout, --deadline) and the backend override (--pool) are gone
+        parser = build_parser()
+        assert parser.parse_args(["report", "--jobs", "3"]).jobs == 3
+        budget_flags = [["--timeout", "5"], ["--deadline", "60"],
+                        ["--pool", "process"]]
         for argv in ([[cmd] + flag for cmd in ("report", "bench")
                       for flag in budget_flags]
                      + [["chaos", "--layer", "pool", "--timeout", "4"]]):
             with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(argv)
+                parser.parse_args(argv)
             assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_pool_flags_default_to_no_budget(self):
+        for cmd in ("report", "bench"):
+            args = build_parser().parse_args([cmd])
+            for budget in ("timeout", "deadline", "pool"):
+                assert not hasattr(args, budget), (cmd, budget)
+
+    def test_pool_backend_choices_are_validated(self, capsys):
+        # no backend is selectable: every --pool value is an argparse error
+        for backend in ("threads", "serial", "process", "auto"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["report", "--pool", backend])
+            assert exc.value.code == 2, backend
             assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_chaos_defaults_to_sim_layer(self):
